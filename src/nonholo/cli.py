@@ -10,24 +10,26 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, action, engine, hamiltonian, integrate, scenarios
+from . import __version__, action, engine, integrate, scenarios
 from .errors import ConfigError, NonholoError
 from .expr import parse_expression
 from .hamiltonian import ExtendedPhasePoint
 from .integrate import IntegratorConfig
-from .paths import PhasePath
-from .scenarios import SCENARIO_NAMES, SleighParams
+from .paths import bump, lift_on_shell
+from .scenarios import SCENARIO_NAMES, Scenario
 
 log = logging.getLogger("nonholo")
 
 FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
                     "(Gram system in dD/dv, diagonal mass)")
+
+# inline systems: no default initial state, no guards, no reference solution
+_INLINE = Scenario(build=None)
 
 
 # --- config loading -------------------------------------------------------------
@@ -50,23 +52,17 @@ def _number(block: dict, key: str, path: str, default=None):
 
 
 def _build_system(block: dict) -> tuple:
-    """Returns (spec, scenario_name_or_None, params_or_None)."""
+    """Returns (spec, scenario, sleigh_params_or_None)."""
     if "scenario" in block:
         name = block["scenario"]
-        raw = dict(block.get("params", {}))
-        c = raw.pop("c", 0.0)
-        if name == "damped_oscillator":
-            spec = scenarios.damped_oscillator_spec(
-                omega=float(raw.get("omega", 1.0)), k=float(raw.get("k", 0.0)),
-                sign=int(raw.get("sign", -1)))
-            return spec, name, SleighParams(v0=1.0, omega=float(raw.get("omega", 1.0)))
-        if name not in scenarios.SLEIGH_VARIANTS:
+        if name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {name!r}", "system.scenario")
+        scenario = scenarios.SCENARIOS[name]
         try:
-            params = SleighParams(**{k: float(v) for k, v in raw.items()})
-        except (TypeError, ValueError) as exc:
+            spec, params = scenario.build(**block.get("params", {}))
+        except (TypeError, ValueError, NonholoError) as exc:
             raise ConfigError(str(exc), "system.params") from exc
-        return scenarios.build_sleigh_spec(name, params, c=float(c)), name, params
+        return spec, scenario, params
     n = _require(block, "n", "system")
     if not isinstance(n, int) or n < 1:
         raise ConfigError("n must be a positive integer", "system.n")
@@ -84,11 +80,9 @@ def _build_system(block: dict) -> tuple:
             constraints=block.get("constraints", ()),
             eps_reg=float(block.get("eps_reg", 1e-10)),
         )
-    except NonholoError as exc:
+    except (NonholoError, ValueError) as exc:
         raise ConfigError(str(exc), "system") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc), "system") from exc
-    return spec, None, None
+    return spec, _INLINE, None
 
 
 def _build_integrator(block: dict) -> IntegratorConfig:
@@ -119,11 +113,8 @@ class Run:
         self.config_hash = hashlib.sha256(raw).hexdigest()
         self.spec, self.scenario, self.params = _build_system(_require(config, "system", ""))
         initial = config.get("initial", {})
-        if self.scenario in scenarios.SLEIGH_VARIANTS and "q0" not in initial:
-            if self.scenario == "vakonomic_phi":
-                q0, v0 = (0.0,), (self.params.omega,)
-            else:
-                q0, v0 = scenarios.initial_state(self.params)
+        if self.scenario.initial is not None and "q0" not in initial:
+            q0, v0 = self.scenario.initial(self.params)
             self.q0, self.v0 = list(q0), list(v0)
         else:
             self.q0 = [float(x) for x in _require(initial, "q0", "initial")]
@@ -153,10 +144,12 @@ class Run:
             if not isinstance(chk, dict) or "type" not in chk:
                 raise ConfigError("each check needs a 'type'", f"checks[{i}]")
 
-    def guards(self, extended: bool = False):
-        if self.scenario == "lda_nonlinear":
-            return scenarios.nonlinear_sleigh_guards(extended=extended)
-        return ()
+    def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
+        """Extended-phase-space run from the on-surface lift of (q0, v0)."""
+        z0 = ExtendedPhasePoint(q=tuple(self.q0), p=(0.0,) * self.spec.n, v=tuple(self.v0),
+                                pi=(0.0,) * self.spec.n, e=self.e0, pi_e=0.0)
+        return integrate.integrate_hamiltonian(self.spec, z0, self.mu_e, self.cfg,
+                                               guards=self.scenario.guards(extended=True))
 
 
 def load_run(config_path: str) -> Run:
@@ -172,18 +165,21 @@ def load_run(config_path: str) -> Run:
 
 # --- output writers ---------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _metadata_lines(run: Run, kind: str):
-    return [
+def _write_csv(path: str, run: Run, kind: str, cols: list, rows):
+    """Metadata header, column names, then rows of 17-significant-digit floats."""
+    header = [
         f"# nonholo {__version__}",
         f"# run: {kind}",
         f"# config_sha256: {run.config_hash}",
         f"# formulation: {FORMULATION_NOTE}",
         f"# projection: {'on' if run.cfg.projection else 'off'}",
+        ",".join(cols),
     ]
+    with open(path, "w") as fh:
+        for line in header:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
 
 
 def write_trajectory_csv(path: str, run: Run, traj: integrate.Trajectory):
@@ -193,15 +189,13 @@ def write_trajectory_csv(path: str, run: Run, traj: integrate.Trajectory):
     if m:
         cols += [f"D_{a+1}" for a in range(m)] + [f"h_{a+1}" for a in range(m)]
         cols += ["gram_min_eig"]
-    with open(path, "w") as fh:
-        for line in _metadata_lines(run, "second-order"):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.q[k], *traj.v[k]]
-            if m:
-                row += [*traj.constraint_values[k], *traj.multipliers[k], traj.gram_min_eig[k]]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+    def row(k):
+        out = [traj.times[k], *traj.q[k], *traj.v[k]]
+        if m:
+            out += [*traj.constraint_values[k], *traj.multipliers[k], traj.gram_min_eig[k]]
+        return out
+    _write_csv(path, run, "second-order", cols, map(row, range(len(traj.times))))
 
 
 def write_extended_csv(path: str, run: Run, traj: integrate.ExtendedTrajectory):
@@ -209,14 +203,9 @@ def write_extended_csv(path: str, run: Run, traj: integrate.ExtendedTrajectory):
     cols = (["t"] + [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
             + [f"p{i+1}" for i in range(n)] + [f"pi{i+1}" for i in range(n)]
             + ["e", "pi_e", "surface_residual"])
-    with open(path, "w") as fh:
-        for line in _metadata_lines(run, "hamiltonian"):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.q[k], *traj.v[k], *traj.p[k], *traj.pi[k],
-                   traj.e[k], traj.pi_e[k], traj.surface_residual[k]]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    rows = ([traj.times[k], *traj.q[k], *traj.v[k], *traj.p[k], *traj.pi[k],
+             traj.e[k], traj.pi_e[k], traj.surface_residual[k]] for k in range(len(traj.times)))
+    _write_csv(path, run, "hamiltonian", cols, rows)
 
 
 def write_reports(path: str, run: Run, records: list):
@@ -230,22 +219,6 @@ def write_reports(path: str, run: Run, records: list):
 
 # --- checks -------------------------------------------------------------------------
 
-def lift_to_phase_path(run: Run, traj: integrate.Trajectory) -> PhasePath:
-    """On-shell lift of a second-order trajectory (all momenta zero, e = e0)."""
-    N = len(traj.times)
-    zeros = np.zeros_like(traj.q)
-    return PhasePath(
-        times=traj.times, q=traj.q.copy(), p=zeros.copy(), v=traj.v.copy(),
-        pi=zeros.copy(), e=np.full(N, run.e0), pi_e=np.zeros(N), mu_e=np.zeros(N),
-    )
-
-
-def _bump_profile(times: np.ndarray) -> np.ndarray:
-    """C^2 window vanishing (with zero slope) at both endpoints."""
-    span = times[-1] - times[0]
-    return np.sin(np.pi * (times - times[0]) / span) ** 2
-
-
 def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
     kind = chk["type"]
     tol = float(chk.get("tolerance", 1e-8))
@@ -255,22 +228,20 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         rec.update(max_drift=drift, passed=drift <= tol)
         return rec
     if kind == "analytic-compare":
-        if run.scenario in ("lda_linear", "lda_nonlinear", "friction"):
-            ref = np.array([scenarios.sleigh_circle(run.params, t) for t in traj.times])
-            dev = float(np.max(np.abs(traj.q - ref)))
-            rec.update(reference="circle", max_deviation=dev, passed=dev <= tol)
-            if run.scenario == "friction" and run.params.k > 2 * run.params.m * run.params.omega:
-                printed = np.array([scenarios.sleigh_friction_analytic(run.params, t)
-                                    for t in traj.times])
-                rec["printed_form_deviation"] = float(np.max(np.abs(traj.q - printed)))
-                rec["printed_form_gating"] = False
-            return rec
-        raise ConfigError("analytic-compare needs an lda_*/friction scenario", "checks")
+        scenario, params = run.scenario, run.params
+        if scenario.reference is None:
+            raise ConfigError("analytic-compare needs an lda_*/friction scenario", "checks")
+        ref = np.array([scenario.reference(params, t) for t in traj.times])
+        dev = float(np.max(np.abs(traj.q - ref)))
+        rec.update(reference="circle", max_deviation=dev, passed=dev <= tol)
+        # the printed closed form needs real decay rates, k > 2*m*omega
+        if scenario.closed_form is not None and params.k > 2 * params.m * params.omega:
+            printed = np.array([scenario.closed_form(params, t) for t in traj.times])
+            rec["printed_form_deviation"] = float(np.max(np.abs(traj.q - printed)))
+            rec["printed_form_gating"] = False
+        return rec
     if kind == "hamiltonian-equivalence":
-        z0 = ExtendedPhasePoint(q=tuple(run.q0), p=(0.0,) * run.spec.n, v=tuple(run.v0),
-                                pi=(0.0,) * run.spec.n, e=run.e0, pi_e=0.0)
-        ham = integrate.integrate_hamiltonian(run.spec, z0, run.mu_e, run.cfg,
-                                              guards=run.guards(extended=True))
+        ham = run.hamiltonian_run()
         N = min(len(traj.times), len(ham.times))
         dev = max(float(np.max(np.abs(ham.q[:N] - traj.q[:N]))),
                   float(np.max(np.abs(ham.v[:N] - traj.v[:N]))))
@@ -279,7 +250,7 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
                    passed=dev <= tol and resid <= 1e-9)
         return rec
     if kind == "action-stationarity":
-        path = lift_to_phase_path(run, traj)
+        path = lift_on_shell(traj, run.e0)
         report = action.stationarity_check(run.spec, path,
                                            float(chk.get("perturbation_scale", 1e-6)),
                                            C=float(chk.get("C", 50.0)))
@@ -287,8 +258,8 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
                    threshold=report.threshold, passed=report.passed)
         return rec
     if kind == "gauge-invariance":
-        path = lift_to_phase_path(run, traj)
-        profile = _bump_profile(path.times)
+        path = lift_on_shell(traj, run.e0)
+        profile = bump(path.times)
         amp = float(chk.get("offshell_amplitude", 0.05))
         # perturb off-shell so the transformation is non-trivial
         path = path.replace(pi=path.pi + amp * profile[:, None],
@@ -310,23 +281,24 @@ def _execute(run: Run, mode: str) -> int:
         run.v0 = list(engine.project_initial_state(run.spec, run.q0, run.v0))
     records = []
     if mode == "hamiltonian":
-        z0 = ExtendedPhasePoint(q=tuple(run.q0), p=(0.0,) * run.spec.n, v=tuple(run.v0),
-                                pi=(0.0,) * run.spec.n, e=run.e0, pi_e=0.0)
-        ext = integrate.integrate_hamiltonian(run.spec, z0, run.mu_e, run.cfg,
-                                              guards=run.guards(extended=True))
+        ext = run.hamiltonian_run()
+        passed = ext.termination.kind != "error"
         if run.trajectory_csv:
             write_extended_csv(run.trajectory_csv, run, ext)
         records.append({"check": "surface-residual",
                         "max_surface_residual": float(np.max(ext.surface_residual)),
-                        "termination": ext.termination.kind, "passed": True})
+                        "termination": ext.termination.kind, "passed": passed})
         if run.report_json:
             write_reports(run.report_json, run, records)
         print(f"hamiltonian run: {ext.termination.kind}, "
               f"max surface residual {np.max(ext.surface_residual):.3e}")
+        if not passed:
+            log.error("integration failed: %s", ext.termination.name)
+            return 3
         return 0
 
     traj = integrate.integrate_second_order(run.spec, run.q0, run.v0, run.cfg,
-                                            guards=run.guards())
+                                            guards=run.scenario.guards())
     if traj.termination.kind == "error":
         log.error("integration failed: %s", traj.termination.name)
         return 3
@@ -359,32 +331,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sleigh(args) -> int:
-    try:
-        params = SleighParams(m=args.m, I=args.I, k=args.k, v0=args.v0, omega=args.omega)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "sleigh") from exc
     if args.variant not in scenarios.SLEIGH_VARIANTS:
         raise ConfigError(f"unknown variant {args.variant!r}", "sleigh.variant")
-    spec = scenarios.build_sleigh_spec(args.variant, params, c=args.c)
-    t_end = args.t_end if args.t_end is not None else (
-        0.4 * math.pi / params.omega if args.variant == "lda_nonlinear"
-        else 2.0 * math.pi / params.omega)
+    scenario = scenarios.SCENARIOS[args.variant]
+    try:
+        spec, params = scenario.build(m=args.m, I=args.I, k=args.k, v0=args.v0,
+                                      omega=args.omega, c=args.c)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "sleigh") from exc
+    t_end = args.t_end if args.t_end is not None else scenario.t_end(params)
     cfg = IntegratorConfig(method="rk4", dt=args.dt, t_end=t_end)
-    if args.variant == "vakonomic_phi":
-        q0, v0 = [0.0], [params.omega]
-        guards = ()
-    else:
-        q0, v0 = scenarios.initial_state(params)
-        guards = scenarios.nonlinear_sleigh_guards() if args.variant == "lda_nonlinear" else ()
-    traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=guards)
+    q0, v0 = scenario.initial(params)
+    traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards())
     if traj.termination.kind == "error":
         log.error("integration failed: %s", traj.termination.name)
         return 3
-    if args.variant == "vakonomic_phi":
+    if scenario.reference is None:
+        # the reduced angle equation is compared with the d'Alembert angle omega*t
         dev = float(np.max(np.abs(traj.q[:, 0] - params.omega * traj.times)))
         print(f"max |phi - omega*t| = {dev:.6e} rad over t in [0, {t_end:.6g}] (c = {args.c})")
     else:
-        ref = np.array([scenarios.sleigh_circle(params, t) for t in traj.times])
+        ref = np.array([scenario.reference(params, t) for t in traj.times])
         dev = float(np.max(np.abs(traj.q - ref)))
         print(f"max deviation from circular reference = {dev:.6e} "
               f"over t in [0, {t_end:.6g}] ({traj.termination.kind})")
@@ -416,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sleigh", help="Chaplygin-sleigh presets")
-    p.add_argument("variant", help="friction | lda_linear | lda_nonlinear | vakonomic_phi")
+    p.add_argument("variant", help=" | ".join(scenarios.SLEIGH_VARIANTS))
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--I", type=float, default=1.0)
     p.add_argument("--k", type=float, default=0.0)

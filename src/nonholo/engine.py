@@ -137,6 +137,8 @@ def _constraint_solve(spec: SystemSpec, q, v, t, f0):
     n = spec.n
     grads = [_expr.grad_raw(c, q, v, t) for c in cons]
     if m == 1:
+        # scalar fast path: without it float acceleration_raw ran 1.6-1.8x slower on
+        # lda_linear and lda_nonlinear (12 interleaved pairs, 2 cores, Python 3.11.7)
         dq1, dv1, dt1 = grads[0]
         g = 0.0
         b = -dt1

@@ -2,8 +2,11 @@
 
 Grammar over variables q1..qn, v1..vn and t, with +, -, *, /, ^ and the
 unary functions sin, cos, tan, exp, log, sqrt, abs.  Parsed trees are
-immutable; evaluation and differentiation are pure.  Derivatives are exact
-(forward-mode dual numbers, one pass per variable that actually occurs).
+immutable; evaluation and differentiation are pure.  Derivatives are exact:
+``grad_raw`` evaluates compiled symbolic partials, one per variable that
+actually occurs.  The compiled functions also accept dual numbers, which
+serve only the Jacobians through the multiplier solve and the Poisson
+brackets (see ``hamiltonian``).
 """
 
 from __future__ import annotations
@@ -14,21 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import dual
-from .dual import Dual
 from .errors import ExprDomainError, ExprSyntaxError
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
-
-_FN = {
-    "sin": dual.sin,
-    "cos": dual.cos,
-    "tan": dual.tan,
-    "exp": dual.exp,
-    "log": dual.log,
-    "sqrt": dual.sqrt,
-    "abs": dual.fabs,
-}
-
 
 # --- AST -------------------------------------------------------------------
 
@@ -386,11 +377,6 @@ def _derivative(node: Node, kind: str, index: int) -> Node:
             out = _fold_add(out, term)
         return out
     raise AssertionError(f"unknown operator {node.op!r}")
-
-
-def eval_raw(expr: Expr, q, v, t):
-    """Evaluate on raw sequences (entries may be floats or duals)."""
-    return expr._fn(q, v, t)
 
 
 def evaluate(expr: Expr, pt: EvalPoint) -> float:

@@ -11,7 +11,7 @@ qd = v, vd = F (the original dynamics) plus ed = mu_e, and H vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,16 +160,10 @@ def _coordinate_gradient(f, z: ExtendedPhasePoint) -> dict:
         for i in range(n):
             seeded = list(base)
             seeded[i] = Dual(base[i], 1.0)
-            out[block][i] = du(f(_replace(z, block, tuple(seeded))))
-    out["e"] = du(f(_replace(z, "e", Dual(z.e, 1.0))))
-    out["pi_e"] = du(f(_replace(z, "pi_e", Dual(z.pi_e, 1.0))))
+            out[block][i] = du(f(replace(z, **{block: tuple(seeded)})))
+    out["e"] = du(f(replace(z, e=Dual(z.e, 1.0))))
+    out["pi_e"] = du(f(replace(z, pi_e=Dual(z.pi_e, 1.0))))
     return out
-
-
-def _replace(z: ExtendedPhasePoint, field: str, val) -> ExtendedPhasePoint:
-    data = {"q": z.q, "p": z.p, "v": z.v, "pi": z.pi, "e": z.e, "pi_e": z.pi_e}
-    data[field] = val
-    return ExtendedPhasePoint(**data)
 
 
 def poisson_bracket(f, g, z: ExtendedPhasePoint) -> float:

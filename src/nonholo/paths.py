@@ -118,6 +118,20 @@ def diff1_at(y: np.ndarray, k: int, dt: float):
     return (3.0 * y[last] - 4.0 * y[last - 1] + y[last - 2]) / (2.0 * dt)
 
 
+def lift_on_shell(traj, e0: float = 1.0) -> PhasePath:
+    """All-momenta-zero phase path over a second-order trajectory, with e = e0."""
+    N = len(traj.times)
+    zeros = np.zeros_like(traj.q)
+    return PhasePath(times=traj.times, q=traj.q.copy(), p=zeros.copy(), v=traj.v.copy(),
+                     pi=zeros.copy(), e=np.full(N, e0), pi_e=np.zeros(N), mu_e=np.zeros(N))
+
+
+def bump(times: np.ndarray) -> np.ndarray:
+    """C^2 window vanishing with zero slope at both endpoints."""
+    span = times[-1] - times[0]
+    return np.sin(np.pi * (times - times[0]) / span) ** 2
+
+
 def trapezoid_weights(N: int, dt: float) -> np.ndarray:
     w = np.full(N, dt)
     w[0] = w[-1] = 0.5 * dt

@@ -15,19 +15,18 @@ phid = omega:
 For the two constrained variants the exact reference trajectory is uniform
 circular motion of radius v0/omega; the friction variant approaches it as
 k -> infinity.
+
+``SCENARIOS`` maps each scenario name to its :class:`Scenario` entry; the
+CLI and the tests look scenarios up there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .engine import SystemSpec, make_system
-
-SCENARIO_NAMES = ("friction", "lda_linear", "lda_nonlinear", "vakonomic_phi",
-                  "damped_oscillator")
-
-SLEIGH_VARIANTS = ("friction", "lda_linear", "lda_nonlinear", "vakonomic_phi")
 
 # yd1 = 0 guard threshold for the nonlinear constraint chart
 NONLINEAR_V1_FLOOR = 1e-6
@@ -163,3 +162,64 @@ def damped_oscillator_spec(omega: float, k: float, sign: int = -1) -> SystemSpec
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     return make_system(1, (1.0,), forces=(f"({sign * omega * omega!r})*q1 - ({k * k!r})*v1",))
+
+
+def _sleigh_builder(variant: str) -> Callable:
+    def build(c=0.0, **params):
+        sleigh = SleighParams(**{k: float(v) for k, v in params.items()})
+        return build_sleigh_spec(variant, sleigh, c=float(c)), sleigh
+    return build
+
+
+def _damped_oscillator(omega=1.0, k=0.0, sign=-1):
+    return damped_oscillator_spec(omega=float(omega), k=float(k), sign=int(sign)), None
+
+
+def _vakonomic_initial_state(params: SleighParams):
+    """(q0, v0) of the reduced angle equation: phi = 0, phid = omega."""
+    return (0.0,), (params.omega,)
+
+
+def _no_guards(extended: bool = False):
+    return ()
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the CLI and the tests need to know about one named scenario.
+
+    ``build(**params)`` turns config params into ``(spec, sleigh_params)``
+    and raises TypeError/ValueError on bad input; ``sleigh_params`` is None for
+    the damped oscillator.  ``initial`` gives the default ``(q0, v0)``;
+    without it q0 and v0 must come from the config.  The default run length
+    ``half_turns*pi/omega`` turns the heading by ``half_turns*pi``.
+    ``reference`` is the circular reference and ``closed_form`` the printed
+    strong-friction solution.
+    """
+
+    build: Callable
+    initial: Callable | None = None
+    half_turns: float = 2.0
+    guards: Callable = _no_guards
+    reference: Callable | None = None
+    closed_form: Callable | None = None
+
+    def t_end(self, params: SleighParams) -> float:
+        return self.half_turns * math.pi / params.omega
+
+
+SCENARIOS = {
+    "friction": Scenario(_sleigh_builder("friction"), initial_state, reference=sleigh_circle,
+                         closed_form=sleigh_friction_analytic),
+    "lda_linear": Scenario(_sleigh_builder("lda_linear"), initial_state,
+                           reference=sleigh_circle),
+    "lda_nonlinear": Scenario(_sleigh_builder("lda_nonlinear"), initial_state, half_turns=0.4,
+                              guards=nonlinear_sleigh_guards, reference=sleigh_circle),
+    "vakonomic_phi": Scenario(_sleigh_builder("vakonomic_phi"), _vakonomic_initial_state),
+    "damped_oscillator": Scenario(_damped_oscillator),
+}
+
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+# the sleigh variants are the scenarios with built-in initial data
+SLEIGH_VARIANTS = tuple(name for name, s in SCENARIOS.items() if s.initial is not None)

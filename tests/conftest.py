@@ -1,38 +1,22 @@
 """Shared helpers for building sleigh runs and on-shell phase paths."""
 
-import numpy as np
 import pytest
 
 from nonholo import IntegratorConfig, SleighParams, build_sleigh_spec, integrate_second_order
-from nonholo import scenarios
-from nonholo.paths import PhasePath
+from nonholo.paths import lift_on_shell
+from nonholo.scenarios import SCENARIOS
 
 
 def sleigh_run(variant="lda_linear", dt=1e-3, t_end=None, params=None, **cfg_kwargs):
-    """Integrate a sleigh variant from the shared initial data."""
-    import math
+    """Integrate a sleigh variant from its default initial data."""
     params = params or SleighParams()
+    scenario = SCENARIOS[variant]
     spec = build_sleigh_spec(variant, params)
-    q0, v0 = scenarios.initial_state(params)
+    q0, v0 = scenario.initial(params)
     if t_end is None:
-        t_end = 0.4 * math.pi / params.omega if variant == "lda_nonlinear" else 2 * math.pi / params.omega
+        t_end = scenario.t_end(params)
     cfg = IntegratorConfig(method="rk4", dt=dt, t_end=t_end, **cfg_kwargs)
-    guards = scenarios.nonlinear_sleigh_guards() if variant == "lda_nonlinear" else ()
-    return spec, integrate_second_order(spec, q0, v0, cfg, guards=guards)
-
-
-def lift_on_shell(traj, e0=1.0):
-    """All-momenta-zero phase path over a second-order trajectory."""
-    N = len(traj.times)
-    zeros = np.zeros_like(traj.q)
-    return PhasePath(times=traj.times, q=traj.q.copy(), p=zeros.copy(), v=traj.v.copy(),
-                     pi=zeros.copy(), e=np.full(N, e0), pi_e=np.zeros(N), mu_e=np.zeros(N))
-
-
-def bump(times):
-    """C^2 window vanishing with zero slope at both endpoints."""
-    span = times[-1] - times[0]
-    return np.sin(np.pi * (times - times[0]) / span) ** 2
+    return spec, integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards())
 
 
 @pytest.fixture(scope="session")

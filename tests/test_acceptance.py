@@ -8,17 +8,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from conftest import bump, lift_on_shell, sleigh_run
+from conftest import sleigh_run
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
     stationarity_check,
     universal_action,
 )
-from nonholo.engine import make_system
-from nonholo.expr import grad_raw, parse_expression
 from nonholo.hamiltonian import (
     ExtendedPhasePoint,
     force_jacobians,
@@ -30,7 +27,7 @@ from nonholo.integrate import (
     integrate_hamiltonian,
     integrate_second_order,
 )
-from nonholo.paths import ConfigPath, trapezoid_weights
+from nonholo.paths import ConfigPath, bump, lift_on_shell
 from nonholo.scenarios import (
     SleighParams,
     build_sleigh_spec,

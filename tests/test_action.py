@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import bump, lift_on_shell, sleigh_run
+from conftest import sleigh_run
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -11,7 +11,7 @@ from nonholo.action import (
     universal_action,
 )
 from nonholo.engine import make_system
-from nonholo.paths import ConfigPath, PhasePath
+from nonholo.paths import ConfigPath, PhasePath, bump, lift_on_shell
 
 
 def constant_phase_path(n=1, T=1.0, dt=0.01, **vals):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from nonholo.cli import main
+from nonholo.cli import Run, main
+from nonholo.scenarios import SCENARIO_NAMES
 
 
 def base_config(tmp_path, **overrides):
@@ -81,6 +82,24 @@ class TestSimulate:
         assert "config_sha256" in joined
         assert "dD/dt = 0" in joined
 
+    @pytest.mark.parametrize("system", [
+        {"scenario": "damped_oscillator", "params": {"sign": 2}},
+        {"scenario": "damped_oscillator", "params": {"omega": "x"}},
+        {"scenario": "damped_oscillator", "params": {"omgea": 2.0}},
+        {"scenario": "lda_linear", "params": {"c": "x"}},
+    ], ids=["sign", "omega", "unknown_key", "c"])
+    def test_bad_scenario_params_exit_two(self, tmp_path, capsys, system):
+        cfg = base_config(tmp_path, system=system, initial={"q0": [1.0], "v0": [0.0]})
+        assert main(["simulate", cfg]) == 2
+        assert "system.params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_scenario_loads(self, name):
+        initial = {"q0": [1.0], "v0": [0.0]} if name == "damped_oscillator" else {}
+        run = Run({"system": {"scenario": name}, "initial": initial,
+                   "integrator": {"t_end": 1.0}}, "run.json")
+        assert len(run.q0) == len(run.v0) == run.spec.n
+
     def test_inline_system(self, tmp_path):
         cfg = {
             "system": {"n": 1, "masses": [1.0], "potential": "q1^2/2"},
@@ -97,6 +116,15 @@ class TestHamiltonian:
         cfg = base_config(tmp_path, initial={"e0": 2.0, "mu_e": "sin(t)"})
         assert main(["hamiltonian", cfg]) == 0
         assert "surface residual" in capsys.readouterr().out
+
+    def test_error_termination_exits_three(self, tmp_path, capsys):
+        # the Gram matrix q1^2 of the constraint q1*v1 is singular at q1 = 0
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, system={"n": 1, "masses": [1], "constraints": ["q1*v1"]},
+                          initial={"q0": [0], "v0": [1]}, outputs={"report_json": str(report)})
+        assert main(["hamiltonian", cfg]) == 3
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rec["termination"] == "error" and rec["passed"] is False
 
 
 class TestVerify:
@@ -116,10 +144,14 @@ class TestVerify:
         assert "first_order" in rec and rec["passed"]
 
     def test_stationarity_check(self, tmp_path, capsys):
+        report = tmp_path / "report.jsonl"
         cfg = base_config(tmp_path,
                           checks=[{"type": "action-stationarity",
-                                   "perturbation_scale": 1e-5}])
+                                   "perturbation_scale": 1e-5}],
+                          outputs={"report_json": str(report)})
         assert main(["verify", cfg]) == 0
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rec["passed"] is True
 
     def test_hamiltonian_equivalence_check(self, tmp_path, capsys):
         cfg = base_config(tmp_path,

@@ -1,7 +1,5 @@
 """Extended phase space: Hamiltonian, vector field, brackets, gauge map."""
 
-import math
-
 import numpy as np
 import pytest
 

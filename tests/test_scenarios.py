@@ -11,6 +11,8 @@ from nonholo.expr import EvalPoint
 from nonholo.integrate import IntegratorConfig, integrate_second_order
 from nonholo.scenarios import (
     SCENARIO_NAMES,
+    SCENARIOS,
+    SLEIGH_VARIANTS,
     SleighParams,
     build_sleigh_spec,
     damped_oscillator_spec,
@@ -173,6 +175,27 @@ class TestCatalog:
     def test_names(self):
         assert SCENARIO_NAMES == ("friction", "lda_linear", "lda_nonlinear",
                                   "vakonomic_phi", "damped_oscillator")
+
+    def test_sleigh_variants_follow_table_order(self):
+        assert SLEIGH_VARIANTS == SCENARIO_NAMES[:4]
+        assert SCENARIOS["damped_oscillator"].initial is None
+
+    def test_default_run_lengths(self):
+        p = SleighParams(omega=2.0)
+        assert SCENARIOS["lda_nonlinear"].t_end(p) == 0.4 * math.pi / 2.0
+        for name in ("friction", "lda_linear", "vakonomic_phi"):
+            assert SCENARIOS[name].t_end(p) == 2.0 * math.pi / 2.0
+
+    def test_guards_only_on_nonlinear_chart(self):
+        for name in SCENARIO_NAMES:
+            for extended in (False, True):
+                guards = SCENARIOS[name].guards(extended)
+                assert [g[0] for g in guards] == (["yd1_sign"] if name == "lda_nonlinear" else [])
+
+    def test_circular_reference_only_for_lda_and_friction(self):
+        with_reference = [name for name in SCENARIO_NAMES if SCENARIOS[name].reference]
+        assert with_reference == ["friction", "lda_linear", "lda_nonlinear"]
+        assert [name for name in SCENARIO_NAMES if SCENARIOS[name].closed_form] == ["friction"]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
