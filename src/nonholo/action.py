@@ -7,6 +7,9 @@ Two functionals are evaluated with matched second-order discretizations
   non-negative and zero exactly on solutions;
 * its first-order phase-space form
   integral p.qd + pi.vd + pi_e*ed - pi^2/2e - pi.F - v.p - mu_e*pi_e dt.
+
+F(q, v, t) is evaluated once per path sample; the stationarity check
+re-evaluates it only at the sample whose q or v it perturbs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,23 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, paths
 from .engine import SystemSpec
 from .errors import ExprDomainError
 from .hamiltonian import GaugeInput, gauge_transform
 from .paths import ConfigPath, PhasePath, diff1, diff2, trapezoid_weights
 
 _BLOCKS = ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
+
+
+def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """F(q, v, t) at every sample, (N, n): the one loop over samples into the engine."""
+    return np.array([engine.acceleration_raw(spec, q[k], v[k], float(times[k]))
+                     for k in range(len(times))])
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ki,ki->k", a, b)
 
 
 def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) -> float:
@@ -35,47 +48,35 @@ def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) 
     if len(path.times) < 5:
         raise ValueError("need at least 5 samples")
     qd = diff1(path.q, path.dt)
-    qdd = diff2(path.q, path.dt)
-    N = len(path.times)
-    density = np.empty(N)
-    for k in range(N):
-        f = engine.acceleration_raw(spec, path.q[k], qd[k], float(path.times[k]))
-        r = qdd[k] - np.asarray(f)
-        density[k] = 0.5 * e_profile[k] * float(r @ r)
-    return float(trapezoid_weights(N, path.dt) @ density)
+    r = diff2(path.q, path.dt) - _forces(spec, path.q, qd, path.times)
+    density = 0.5 * e_profile * _rowdot(r, r)
+    return float(trapezoid_weights(len(path.times), path.dt) @ density)
 
 
 def _phase_arrays(path: PhasePath) -> dict:
     return {name: np.array(getattr(path, name), dtype=float) for name in _BLOCKS}
 
 
-def _integrand_at(spec: SystemSpec, arrays: dict, times: np.ndarray, dt: float, k: int) -> float:
-    """First-order action integrand at sample k (local stencil evaluation)."""
-    from .paths import diff1_at
-
-    q, p, v, pi = arrays["q"], arrays["p"], arrays["v"], arrays["pi"]
-    e, pi_e, mu_e = arrays["e"], arrays["pi_e"], arrays["mu_e"]
-    if e[k] == 0.0:
+def _integrand_at(arrays: dict, forces: np.ndarray, dt: float, k: slice) -> np.ndarray:
+    """First-order action integrand on the samples of slice k, given F there."""
+    p, v, pi = (arrays[name][k] for name in ("p", "v", "pi"))
+    e, pi_e, mu_e = (arrays[name][k] for name in ("e", "pi_e", "mu_e"))
+    if np.any(e == 0.0):
         raise ExprDomainError("auxiliary variable e is zero along the path")
-    qd = diff1_at(q, k, dt)
-    vd = diff1_at(v, k, dt)
-    ed = diff1_at(e, k, dt)
-    f = np.asarray(engine.acceleration_raw(spec, q[k], v[k], float(times[k])))
-    pi2 = float(pi[k] @ pi[k])
-    return float(
-        p[k] @ qd + pi[k] @ vd + pi_e[k] * ed
-        - pi2 / (2.0 * e[k]) - pi[k] @ f - v[k] @ p[k] - mu_e[k] * pi_e[k]
-    )
+    qd = paths.diff1_at(arrays["q"], k, dt)
+    vd = paths.diff1_at(arrays["v"], k, dt)
+    ed = paths.diff1_at(arrays["e"], k, dt)
+    return (_rowdot(p, qd) + _rowdot(pi, vd) + pi_e * ed - _rowdot(pi, pi) / (2.0 * e)
+            - _rowdot(pi, forces[k]) - _rowdot(v, p) - mu_e * pi_e)
 
 
 def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
     if len(path.times) < 5:
         raise ValueError("need at least 5 samples")
     arrays = _phase_arrays(path)
-    N = len(path.times)
-    density = np.array([_integrand_at(spec, arrays, path.times, path.dt, k)
-                        for k in range(N)])
-    return float(trapezoid_weights(N, path.dt) @ density)
+    forces = _forces(spec, arrays["q"], arrays["v"], path.times)
+    density = _integrand_at(arrays, forces, path.dt, slice(None))
+    return float(trapezoid_weights(len(path.times), path.dt) @ density)
 
 
 @dataclass
@@ -99,30 +100,31 @@ def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: fl
     floor C*(dt^2 + perturbation_scale^2), generic paths at O(1).
     """
     arrays = _phase_arrays(path)
-    N = len(path.times)
+    q, v, times = arrays["q"], arrays["v"], path.times
+    N = len(times)
     dt = path.dt
     weights = trapezoid_weights(N, dt)
     eps = perturbation_scale
-
-    def window_sum(j: int) -> float:
-        lo, hi = max(0, j - 3), min(N, j + 4)
-        return sum(weights[k] * _integrand_at(spec, arrays, path.times, dt, k)
-                   for k in range(lo, hi))
-
+    forces = _forces(spec, q, v, times)
     # (N, width) views: perturbing a view entry perturbs the arrays the integrand reads
     views = [(block, arrays[block].reshape(N, -1)) for block in _BLOCKS]
     max_grad = 0.0
     worst = ("", -1)
     for j in range(1, N - 1):
+        window = slice(max(0, j - 3), min(N, j + 4))
+        f_j = forces[j].copy()
         for block, arr in views:
             for i in range(arr.shape[1]):
                 orig = arr[j, i]
-                arr[j, i] = orig + eps
-                plus = window_sum(j)
-                arr[j, i] = orig - eps
-                minus = window_sum(j)
+                sides = []
+                for x in (orig + eps, orig - eps):
+                    arr[j, i] = x
+                    if block in ("q", "v"):
+                        forces[j] = engine.acceleration_raw(spec, q[j], v[j], float(times[j]))
+                    sides.append(weights[window] @ _integrand_at(arrays, forces, dt, window))
                 arr[j, i] = orig
-                g = abs(plus - minus) / (2.0 * eps)
+                forces[j] = f_j
+                g = abs(sides[0] - sides[1]) / (2.0 * eps)
                 if g > max_grad:
                     max_grad, worst = g, (block, j)
     threshold = C * (dt * dt + eps * eps)

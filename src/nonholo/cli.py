@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -254,8 +255,7 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         report = action.stationarity_check(run.spec, path,
                                            float(chk.get("perturbation_scale", 1e-6)),
                                            C=float(chk.get("C", 50.0)))
-        rec.update(dt=report.dt, max_gradient=report.max_gradient,
-                   threshold=report.threshold, passed=report.passed)
+        rec.update(asdict(report))
         return rec
     if kind == "gauge-invariance":
         path = lift_on_shell(traj, run.e0)
@@ -267,9 +267,7 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         report = action.gauge_invariance_check(run.spec, path, profile,
                                                float(chk.get("alpha_amplitude", 1e-2)),
                                                C=float(chk.get("C", 10.0)))
-        rec.update(dt=report.dt, first_order=report.first_order,
-                   second_order=report.second_order, threshold=report.threshold,
-                   passed=report.passed)
+        rec.update(asdict(report))
         return rec
     raise ConfigError(f"unknown check type {kind!r}", "checks")
 
@@ -337,10 +335,10 @@ def cmd_sleigh(args) -> int:
     try:
         spec, params = scenario.build(m=args.m, I=args.I, k=args.k, v0=args.v0,
                                       omega=args.omega, c=args.c)
+        t_end = args.t_end if args.t_end is not None else scenario.t_end(params)
+        cfg = IntegratorConfig(method="rk4", dt=args.dt, t_end=t_end)
     except ValueError as exc:
         raise ConfigError(str(exc), "sleigh") from exc
-    t_end = args.t_end if args.t_end is not None else scenario.t_end(params)
-    cfg = IntegratorConfig(method="rk4", dt=args.dt, t_end=t_end)
     q0, v0 = scenario.initial(params)
     traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards())
     if traj.termination.kind == "error":

@@ -179,10 +179,9 @@ def _constraint_solve(spec: SystemSpec, q, v, t, f0):
     return h, grads, gram, rhs, min_eig
 
 
-def multipliers_raw(spec: SystemSpec, q, v, t, f0=None):
+def multipliers_raw(spec: SystemSpec, q, v, t):
     """(h, gram, rhs, min_eig) for the constraint multipliers."""
-    if f0 is None:
-        f0 = base_force_raw(spec, q, v, t)
+    f0 = base_force_raw(spec, q, v, t)
     h, _, gram, rhs, min_eig = _constraint_solve(spec, q, v, t, f0)
     return h, gram, rhs, min_eig
 

@@ -150,18 +150,13 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
     accept(t, y) records an accepted sample and may return an adjusted state
     (velocity projection).  Guards are (name, g(t, y)) pairs; when g crosses
     from positive to <= 0 the crossing is located by bisection, the event
-    sample is recorded, and the run terminates.  Returns a Termination.
+    sample is recorded, and the run terminates.  A RegularityError or an
+    ArithmeticError (overflow) ends the run as "error" at the last accepted
+    time.  Returns a Termination.
     """
     t = t0
     y = list(y0)
     t_end = t0 + cfg.t_end
-    try:
-        g_prev = [g(t, y) for _, g in guards]
-    except RegularityError as exc:
-        return Termination("error", f"regularity: {exc}", t)
-    for (name, _), gv in zip(guards, g_prev):
-        if gv <= 0.0:
-            return Termination("event", name, t)
 
     def advance(t_prev, y_prev, t_new, y_new):
         """Guard check + acceptance; returns (t, y, termination_or_None)."""
@@ -179,42 +174,42 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
             y_new = adjusted
         return t_new, y_new, None
 
-    if cfg.method == "rk4":
-        n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-        dt = cfg.t_end / n_steps
-        for step in range(n_steps):
-            t_new = t0 + (step + 1) * dt
-            try:
+    try:
+        g_prev = [g(t, y) for _, g in guards]
+        for (name, _), gv in zip(guards, g_prev):
+            if gv <= 0.0:
+                return Termination("event", name, t)
+
+        if cfg.method == "rk4":
+            n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+            dt = cfg.t_end / n_steps
+            for step in range(n_steps):
+                t_new = t0 + (step + 1) * dt
                 y_new = _rk4_step(f, t, y, dt)
                 t, y, stop = advance(t, y, t_new, y_new)
-            except RegularityError as exc:
-                return Termination("error", f"regularity: {exc}", t)
-            if stop is not None:
-                return stop
-        return Termination("completed", t=t)
+                if stop is not None:
+                    return stop
+            return Termination("completed", t=t)
 
-    # rkf45
-    dt = min(cfg.dt, cfg.dt_max)
-    while t < t_end - 1e-14:
-        dt = min(dt, t_end - t)
-        try:
+        # rkf45
+        dt = min(cfg.dt, cfg.dt_max)
+        while t < t_end - 1e-14:
+            dt = min(dt, t_end - t)
             y_new, err = _rkf45_step(f, t, y, dt)
-        except RegularityError as exc:
-            return Termination("error", f"regularity: {exc}", t)
-        scale = cfg.atol + cfg.rtol * max(abs(x) for x in y)
-        if err <= scale or dt <= cfg.dt_min * (1 + 1e-12):
-            try:
+            scale = cfg.atol + cfg.rtol * max(abs(x) for x in y)
+            if err <= scale or dt <= cfg.dt_min * (1 + 1e-12):
                 t, y, stop = advance(t, y, t + dt, y_new)
-            except RegularityError as exc:
-                return Termination("error", f"regularity: {exc}", t)
-            if stop is not None:
-                return stop
-        if err > 0.0:
-            dt = dt * min(4.0, max(0.1, 0.9 * (scale / err) ** 0.2))
-        else:
-            dt = dt * 4.0
-        dt = min(max(dt, cfg.dt_min), cfg.dt_max)
-    return Termination("completed", t=t)
+                if stop is not None:
+                    return stop
+            if err > 0.0:
+                dt = dt * min(4.0, max(0.1, 0.9 * (scale / err) ** 0.2))
+            else:
+                dt = dt * 4.0
+            dt = min(max(dt, cfg.dt_min), cfg.dt_max)
+        return Termination("completed", t=t)
+    except (RegularityError, ArithmeticError) as exc:
+        cause = "regularity" if isinstance(exc, RegularityError) else type(exc).__name__
+        return Termination("error", f"{cause}: {exc}", t)
 
 
 # --- second-order system --------------------------------------------------------

@@ -7,6 +7,7 @@ errors shrink at matched O(dt^2).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,7 @@ class PhasePath:
         return self.q.shape[1]
 
     def replace(self, **kwargs) -> "PhasePath":
-        data = {name: getattr(self, name) for name in
-                ("times", "q", "p", "v", "pi", "e", "pi_e", "mu_e")}
-        data.update(kwargs)
-        return PhasePath(**data)
+        return dataclasses.replace(self, **kwargs)
 
 
 def diff1(y: np.ndarray, dt: float) -> np.ndarray:
@@ -108,14 +106,12 @@ def diff2(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def diff1_at(y: np.ndarray, k: int, dt: float):
-    """diff1 at a single sample (same stencils)."""
-    last = len(y) - 1
-    if 0 < k < last:
-        return (y[k + 1] - y[k - 1]) / (2.0 * dt)
-    if k == 0:
-        return (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-    return (3.0 * y[last] - 4.0 * y[last - 1] + y[last - 2]) / (2.0 * dt)
+def diff1_at(y: np.ndarray, k: slice, dt: float) -> np.ndarray:
+    """diff1(y, dt)[k] for a contiguous slice k, from the samples its stencils read."""
+    start, stop, _ = k.indices(len(y))
+    lo = max(0, min(start - 1, len(y) - 3))
+    hi = min(len(y), max(stop + 1, 3))
+    return diff1(y[lo:hi], dt)[start - lo:stop - lo]
 
 
 def lift_on_shell(traj, e0: float = 1.0) -> PhasePath:

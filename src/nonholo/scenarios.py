@@ -45,6 +45,8 @@ class SleighParams:
             raise ValueError("mass and moment of inertia must be positive")
         if self.k < 0:
             raise ValueError("friction coefficient must be non-negative")
+        if self.omega == 0:
+            raise ValueError("omega must be nonzero: every preset turns at rate omega")
 
 
 def initial_state(params: SleighParams):
@@ -92,8 +94,6 @@ def sleigh_friction_analytic(params: SleighParams, t: float):
 
 def sleigh_circle(params: SleighParams, t: float):
     """Infinite-friction limit: circle of radius v0/omega, phi = omega*t."""
-    if params.omega == 0:
-        raise ValueError("omega must be nonzero for the circular reference")
     w, v0 = params.omega, params.v0
     r = v0 / w
     return r * math.sin(w * t), r * (1.0 - math.cos(w * t)), w * t
@@ -192,7 +192,7 @@ class Scenario:
     and raises TypeError/ValueError on bad input; ``sleigh_params`` is None for
     the damped oscillator.  ``initial`` gives the default ``(q0, v0)``;
     without it q0 and v0 must come from the config.  The default run length
-    ``half_turns*pi/omega`` turns the heading by ``half_turns*pi``.
+    ``half_turns*pi/|omega|`` turns the heading by ``half_turns*pi``.
     ``reference`` is the circular reference and ``closed_form`` the printed
     strong-friction solution.
     """
@@ -205,7 +205,7 @@ class Scenario:
     closed_form: Callable | None = None
 
     def t_end(self, params: SleighParams) -> float:
-        return self.half_turns * math.pi / params.omega
+        return self.half_turns * math.pi / abs(params.omega)
 
 
 SCENARIOS = {

@@ -11,7 +11,7 @@ from nonholo.action import (
     universal_action,
 )
 from nonholo.engine import make_system
-from nonholo.paths import ConfigPath, PhasePath, bump, lift_on_shell
+from nonholo.paths import ConfigPath, PhasePath, bump, diff1, diff1_at, lift_on_shell
 
 
 def constant_phase_path(n=1, T=1.0, dt=0.01, **vals):
@@ -113,6 +113,48 @@ class TestStationarity:
                                      perturbation_scale=1e-5)
             reports.append(rep)
         assert reports[1].max_gradient < reports[0].max_gradient
+
+
+class TestSampleSpans:
+    def test_diff1_at_is_diff1_on_every_slice(self):
+        y = np.random.default_rng(0).normal(size=(6, 2))
+        for arr in (y, y[:, 0]):
+            full = diff1(arr, 0.1)
+            for a in range(6):
+                for b in range(a + 1, 7):
+                    assert np.array_equal(diff1_at(arr, slice(a, b), 0.1), full[a:b])
+
+    @pytest.mark.parametrize("forces", [("-q1*v2", "sin(q1) - v1"),
+                                        ("-50*q1*v2", "50*sin(q1) - v1"),
+                                        ("40 - q1*v2", "40 + sin(q1) - v1")],
+                             ids=["mild", "dF_dominated", "F_dominated"])
+    def test_stationarity_matches_brute_force_differences(self, forces):
+        # central differences of the whole action over every interior coordinate;
+        # the largest entry is a p entry (mild), a q or v entry through dF (dF_dominated)
+        # or a pi entry through F itself (F_dominated)
+        rng = np.random.default_rng(3)
+        n, N, eps = 2, 9, 1e-4
+        spec = make_system(n, (1.0, 2.0), forces=forces)
+        path = PhasePath(times=np.arange(N) * 0.1, q=rng.normal(size=(N, n)),
+                         p=rng.normal(size=(N, n)), v=rng.normal(size=(N, n)),
+                         pi=rng.normal(size=(N, n)), e=1.0 + rng.random(N),
+                         pi_e=rng.normal(size=N), mu_e=rng.normal(size=N))
+        best = (0.0, "", -1)
+        for j in range(1, N - 1):
+            for block in ("q", "p", "v", "pi", "e", "pi_e", "mu_e"):
+                base = getattr(path, block)
+                for i in range(base[j].size):
+                    sides = []
+                    for x in (eps, -eps):
+                        arr = base.copy()
+                        arr.reshape(N, -1)[j, i] += x
+                        sides.append(first_order_action(spec, path.replace(**{block: arr})))
+                    g = abs(sides[0] - sides[1]) / (2.0 * eps)
+                    if g > best[0]:
+                        best = (g, block, j)
+        rep = stationarity_check(spec, path, perturbation_scale=eps)
+        assert rep.max_gradient == pytest.approx(best[0], rel=1e-9)
+        assert (rep.worst_block, rep.worst_sample) == best[1:]
 
 
 class TestGaugeInvariance:

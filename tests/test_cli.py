@@ -93,6 +93,25 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 2
         assert "system.params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sleigh", "lda_linear", "--omega", "0"], "omega must be nonzero"),
+        (["sleigh", "lda_linear", "--omega", "0", "--t-end", "1"], "omega must be nonzero"),
+        (["simulate", {"scenario": "lda_linear", "params": {"omega": 0}}],
+         "omega must be nonzero"),
+        (["sleigh", "lda_linear", "--dt", "0"], "dt and t_end must be positive"),
+    ], ids=["sleigh", "sleigh_t_end", "analytic_compare", "sleigh_dt"])
+    def test_bad_sleigh_numbers_exit_two(self, tmp_path, capsys, argv, message):
+        if isinstance(argv[1], dict):
+            argv = [argv[0], base_config(tmp_path, system=argv[1],
+                                         checks=[{"type": "analytic-compare"}])]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_overflow_exits_three(self, tmp_path):
+        cfg = base_config(tmp_path, system={"n": 1, "masses": [1], "forces": ["exp(q1)"]},
+                          initial={"q0": [700], "v0": [0]})
+        assert main(["simulate", cfg]) == 3
+
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_every_scenario_loads(self, name):
         initial = {"q0": [1.0], "v0": [0.0]} if name == "damped_oscillator" else {}
@@ -142,6 +161,8 @@ class TestVerify:
         (rec,) = records
         assert rec["check"] == "gauge-invariance"
         assert "first_order" in rec and rec["passed"]
+        assert len(rec["amplitudes"]) == len(rec["deltas"]) == 3
+        assert rec["boundary_note"] == ""
 
     def test_stationarity_check(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
@@ -152,6 +173,9 @@ class TestVerify:
         assert main(["verify", cfg]) == 0
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert rec["passed"] is True
+        assert rec["perturbation_scale"] == 1e-5
+        assert rec["worst_block"] in ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
+        assert 0 < rec["worst_sample"] < 100
 
     def test_hamiltonian_equivalence_check(self, tmp_path, capsys):
         cfg = base_config(tmp_path,

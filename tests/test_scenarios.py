@@ -181,10 +181,11 @@ class TestCatalog:
         assert SCENARIOS["damped_oscillator"].initial is None
 
     def test_default_run_lengths(self):
-        p = SleighParams(omega=2.0)
-        assert SCENARIOS["lda_nonlinear"].t_end(p) == 0.4 * math.pi / 2.0
-        for name in ("friction", "lda_linear", "vakonomic_phi"):
-            assert SCENARIOS[name].t_end(p) == 2.0 * math.pi / 2.0
+        # a negative omega turns the other way over the same time
+        for p in (SleighParams(omega=2.0), SleighParams(omega=-2.0)):
+            assert SCENARIOS["lda_nonlinear"].t_end(p) == 0.4 * math.pi / 2.0
+            for name in ("friction", "lda_linear", "vakonomic_phi"):
+                assert SCENARIOS[name].t_end(p) == 2.0 * math.pi / 2.0
 
     def test_guards_only_on_nonlinear_chart(self):
         for name in SCENARIO_NAMES:
