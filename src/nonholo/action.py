@@ -8,24 +8,27 @@ Two functionals are evaluated with matched second-order discretizations
 * its first-order phase-space form
   integral p.qd + pi.vd + pi_e*ed - pi^2/2e - pi.F - v.p - mu_e*pi_e dt.
 
-F(q, v, t) is evaluated once per path sample; the stationarity check
-re-evaluates it only at the sample whose q or v it perturbs.
+Both evaluate over the whole path, F(q, v, t) once per sample; the stationarity
+check perturbs samples 7 apart together and re-evaluates F only where q or v moves.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, paths
+from . import engine
 from .engine import SystemSpec
 from .errors import ExprDomainError
 from .hamiltonian import GaugeInput, gauge_transform
 from .paths import ConfigPath, PhasePath, diff1, diff2, trapezoid_weights
 
 _BLOCKS = ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
+# A perturbation at sample j changes the integrand only at j-1..j+1 and at sample 0
+# (j <= 2) or N-1 (j >= N-3), so samples _STRIDE apart are perturbed together; each
+# is read off over its own window j-3..j+3, which fixes the rounding of the sum.
+_STRIDE = 7
 
 
 def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -57,17 +60,17 @@ def _phase_arrays(path: PhasePath) -> dict:
     return {name: np.array(getattr(path, name), dtype=float) for name in _BLOCKS}
 
 
-def _integrand_at(arrays: dict, forces: np.ndarray, dt: float, k: slice) -> np.ndarray:
-    """First-order action integrand on the samples of slice k, given F there."""
-    p, v, pi = (arrays[name][k] for name in ("p", "v", "pi"))
-    e, pi_e, mu_e = (arrays[name][k] for name in ("e", "pi_e", "mu_e"))
+def _integrand_at(arrays: dict, forces: np.ndarray, dt: float) -> np.ndarray:
+    """First-order action integrand at every sample, given F there."""
+    p, v, pi = (arrays[name] for name in ("p", "v", "pi"))
+    e, pi_e, mu_e = (arrays[name] for name in ("e", "pi_e", "mu_e"))
     if np.any(e == 0.0):
         raise ExprDomainError("auxiliary variable e is zero along the path")
-    qd = paths.diff1_at(arrays["q"], k, dt)
-    vd = paths.diff1_at(arrays["v"], k, dt)
-    ed = paths.diff1_at(arrays["e"], k, dt)
+    qd = diff1(arrays["q"], dt)
+    vd = diff1(arrays["v"], dt)
+    ed = diff1(arrays["e"], dt)
     return (_rowdot(p, qd) + _rowdot(pi, vd) + pi_e * ed - _rowdot(pi, pi) / (2.0 * e)
-            - _rowdot(pi, forces[k]) - _rowdot(v, p) - mu_e * pi_e)
+            - _rowdot(pi, forces) - _rowdot(v, p) - mu_e * pi_e)
 
 
 def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
@@ -75,7 +78,7 @@ def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
         raise ValueError("need at least 5 samples")
     arrays = _phase_arrays(path)
     forces = _forces(spec, arrays["q"], arrays["v"], path.times)
-    density = _integrand_at(arrays, forces, path.dt, slice(None))
+    density = _integrand_at(arrays, forces, path.dt)
     return float(trapezoid_weights(len(path.times), path.dt) @ density)
 
 
@@ -88,9 +91,6 @@ class StationarityReport:
     passed: bool
     worst_block: str = ""
     worst_sample: int = -1
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: float,
@@ -107,29 +107,31 @@ def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: fl
     eps = perturbation_scale
     forces = _forces(spec, q, v, times)
     # (N, width) views: perturbing a view entry perturbs the arrays the integrand reads
-    views = [(block, arrays[block].reshape(N, -1)) for block in _BLOCKS]
-    max_grad = 0.0
-    worst = ("", -1)
-    for j in range(1, N - 1):
-        window = slice(max(0, j - 3), min(N, j + 4))
-        f_j = forces[j].copy()
-        for block, arr in views:
-            for i in range(arr.shape[1]):
-                orig = arr[j, i]
-                sides = []
-                for x in (orig + eps, orig - eps):
-                    arr[j, i] = x
-                    if block in ("q", "v"):
-                        forces[j] = engine.acceleration_raw(spec, q[j], v[j], float(times[j]))
-                    sides.append(weights[window] @ _integrand_at(arrays, forces, dt, window))
-                arr[j, i] = orig
-                forces[j] = f_j
-                g = abs(sides[0] - sides[1]) / (2.0 * eps)
-                if g > max_grad:
-                    max_grad, worst = g, (block, j)
+    columns = [(block, view, i) for block in _BLOCKS
+               for view in [arrays[block].reshape(N, -1)] for i in range(view.shape[1])]
+    grads = np.zeros((N, len(columns)))
+    for first in range(1, min(_STRIDE + 1, N - 1)):
+        js = np.arange(first, N - 1, _STRIDE)
+        windows = [slice(max(0, j - 3), min(N, j + 4)) for j in js]
+        f_js = forces[js]
+        for c, (block, view, i) in enumerate(columns):
+            orig = view[js, i]
+            for sign in (1.0, -1.0):
+                view[js, i] = orig + sign * eps
+                if block in ("q", "v"):
+                    forces[js] = _forces(spec, q[js], v[js], times[js])
+                density = _integrand_at(arrays, forces, dt)
+                grads[js, c] += sign * np.array([weights[w] @ density[w] for w in windows])
+            view[js, i] = orig
+            forces[js] = f_js
+    grads = np.abs(grads) / (2.0 * eps)
+    # first maximum in (sample, block, component) order; a NaN wins and fails the check
+    k = int(np.argmax(grads))
+    max_grad = float(grads.flat[k])
+    worst = ("", -1) if max_grad == 0.0 else (columns[k % len(columns)][0], k // len(columns))
     threshold = C * (dt * dt + eps * eps)
     return StationarityReport(
-        dt=dt, perturbation_scale=eps, max_gradient=float(max_grad), threshold=threshold,
+        dt=dt, perturbation_scale=eps, max_gradient=max_grad, threshold=threshold,
         passed=bool(max_grad <= threshold), worst_block=worst[0], worst_sample=worst[1],
     )
 
@@ -144,9 +146,6 @@ class GaugeReport:
     threshold: float
     passed: bool
     boundary_note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def gauge_invariance_check(spec: SystemSpec, path: PhasePath, alpha_profile: np.ndarray,

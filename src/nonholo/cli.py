@@ -297,11 +297,11 @@ def _execute(run: Run, mode: str) -> int:
 
     traj = integrate.integrate_second_order(run.spec, run.q0, run.v0, run.cfg,
                                             guards=run.scenario.guards())
+    if run.trajectory_csv:
+        write_trajectory_csv(run.trajectory_csv, run, traj)
     if traj.termination.kind == "error":
         log.error("integration failed: %s", traj.termination.name)
         return 3
-    if run.trajectory_csv:
-        write_trajectory_csv(run.trajectory_csv, run, traj)
     all_passed = True
     for chk in run.checks:
         rec = run_check(run, chk, traj)

@@ -39,7 +39,3 @@ class ConfigError(NonholoError):
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
         self.field = field
-
-
-class IntegrationError(NonholoError):
-    """Time integration failed (step-size collapse, guard violation, ...)."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import engine, hamiltonian
 from .engine import SystemSpec
-from .errors import InitialStateError, RegularityError
+from .errors import InitialStateError, NonholoError, RegularityError
 from .hamiltonian import ExtendedPhasePoint
 
 EVENT_TIME_TOL = 1e-10
@@ -145,14 +145,14 @@ def _bisect_event(f, guard, t_prev, y_prev, dt):
 
 
 def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
-    """Advance with the configured method.
+    """Advance with the configured method; returns a Termination.
 
     accept(t, y) records an accepted sample and may return an adjusted state
     (velocity projection).  Guards are (name, g(t, y)) pairs; when g crosses
     from positive to <= 0 the crossing is located by bisection, the event
-    sample is recorded, and the run terminates.  A RegularityError or an
-    ArithmeticError (overflow) ends the run as "error" at the last accepted
-    time.  Returns a Termination.
+    sample is recorded, and the run terminates.  Non-finite values, an RKF45
+    step over tolerance at dt_min, or a NonholoError, ArithmeticError or
+    ValueError (math domain) end the run as "error" at the last accepted time.
     """
     t = t0
     y = list(y0)
@@ -161,6 +161,8 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
     def advance(t_prev, y_prev, t_new, y_new):
         """Guard check + acceptance; returns (t, y, termination_or_None)."""
         nonlocal g_prev
+        if not all(map(math.isfinite, y_new)):
+            return t_prev, y_prev, Termination("error", "non-finite state", t_prev)
         g_new = [g(t_new, y_new) for _, g in guards]
         for idx, gv in enumerate(g_new):
             if gv <= 0.0 < g_prev[idx]:
@@ -197,17 +199,21 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
             dt = min(dt, t_end - t)
             y_new, err = _rkf45_step(f, t, y, dt)
             scale = cfg.atol + cfg.rtol * max(abs(x) for x in y)
-            if err <= scale or dt <= cfg.dt_min * (1 + 1e-12):
+            if not math.isfinite(err):
+                return Termination("error", "non-finite error estimate", t)
+            if err <= scale:
                 t, y, stop = advance(t, y, t + dt, y_new)
                 if stop is not None:
                     return stop
+            elif dt <= cfg.dt_min * (1 + 1e-12):
+                return Termination("error", f"step-size collapse: error {err:.3e} at dt_min", t)
             if err > 0.0:
                 dt = dt * min(4.0, max(0.1, 0.9 * (scale / err) ** 0.2))
             else:
                 dt = dt * 4.0
             dt = min(max(dt, cfg.dt_min), cfg.dt_max)
         return Termination("completed", t=t)
-    except (RegularityError, ArithmeticError) as exc:
+    except (NonholoError, ArithmeticError, ValueError) as exc:
         cause = "regularity" if isinstance(exc, RegularityError) else type(exc).__name__
         return Termination("error", f"{cause}: {exc}", t)
 

@@ -1,9 +1,14 @@
 """Action functionals: values, positivity, stationarity, gauge invariance."""
 
+import json
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from conftest import sleigh_run
+from nonholo import action
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -12,6 +17,11 @@ from nonholo.action import (
 )
 from nonholo.engine import make_system
 from nonholo.paths import ConfigPath, PhasePath, bump, diff1, diff1_at, lift_on_shell
+
+
+FORCE_SETS = {"mild": ("-q1*v2", "sin(q1) - v1"),
+              "dF_dominated": ("-50*q1*v2", "50*sin(q1) - v1"),
+              "F_dominated": ("40 - q1*v2", "40 + sin(q1) - v1")}
 
 
 def constant_phase_path(n=1, T=1.0, dt=0.01, **vals):
@@ -124,16 +134,19 @@ class TestSampleSpans:
                 for b in range(a + 1, 7):
                     assert np.array_equal(diff1_at(arr, slice(a, b), 0.1), full[a:b])
 
-    @pytest.mark.parametrize("forces", [("-q1*v2", "sin(q1) - v1"),
-                                        ("-50*q1*v2", "50*sin(q1) - v1"),
-                                        ("40 - q1*v2", "40 + sin(q1) - v1")],
-                             ids=["mild", "dF_dominated", "F_dominated"])
-    def test_stationarity_matches_brute_force_differences(self, forces):
+    @pytest.mark.parametrize("forces, N", [
+        pytest.param(FORCE_SETS["mild"], 9, id="mild"),
+        pytest.param(FORCE_SETS["dF_dominated"], 9, id="dF_dominated"),
+        pytest.param(FORCE_SETS["F_dominated"], 9, id="F_dominated"),
+        *(pytest.param(forces, 23, id=f"{name}-N23") for name, forces in FORCE_SETS.items()),
+    ])
+    def test_stationarity_matches_brute_force_differences(self, forces, N):
         # central differences of the whole action over every interior coordinate;
         # the largest entry is a p entry (mild), a q or v entry through dF (dF_dominated)
-        # or a pi entry through F itself (F_dominated)
+        # or a pi entry through F itself (F_dominated); with N = 23 three samples are
+        # perturbed together and both end windows are read off a grouped evaluation
         rng = np.random.default_rng(3)
-        n, N, eps = 2, 9, 1e-4
+        n, eps = 2, 1e-4
         spec = make_system(n, (1.0, 2.0), forces=forces)
         path = PhasePath(times=np.arange(N) * 0.1, q=rng.normal(size=(N, n)),
                          p=rng.normal(size=(N, n)), v=rng.normal(size=(N, n)),
@@ -155,6 +168,29 @@ class TestSampleSpans:
         rep = stationarity_check(spec, path, perturbation_scale=eps)
         assert rep.max_gradient == pytest.approx(best[0], rel=1e-9)
         assert (rep.worst_block, rep.worst_sample) == best[1:]
+
+    @pytest.mark.parametrize("N", [5, 9, 23])
+    def test_integrand_evaluations_per_check(self, monkeypatch, N):
+        # one whole-path evaluation per (stride offset, coordinate, side)
+        calls = []
+        integrand = action._integrand_at
+
+        def counted(*args):
+            calls.append(1)
+            return integrand(*args)
+        monkeypatch.setattr(action, "_integrand_at", counted)
+        n = 2
+        spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])
+        stationarity_check(spec, constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1), 1e-4)
+        assert len(calls) == 2 * (4 * n + 3) * min(7, N - 2)
+
+    def test_nan_entry_fails_the_check(self, linear_sleigh_path):
+        spec, path = linear_sleigh_path
+        p = path.p.copy()
+        p[40, 0] = np.nan
+        rep = stationarity_check(spec, path.replace(p=p), perturbation_scale=1e-4)
+        assert rep.passed is False
+        assert math.isnan(rep.max_gradient)
 
 
 class TestGaugeInvariance:
@@ -186,9 +222,8 @@ class TestGaugeInvariance:
         assert "endpoint" in rep.boundary_note
 
     def test_report_serializes(self, linear_sleigh_path):
-        import json
         spec, path = linear_sleigh_path
         rep = gauge_invariance_check(spec, path, bump(path.times), 0.1)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(asdict(rep)))
         assert set(data) >= {"dt", "amplitudes", "deltas", "first_order",
                              "second_order", "threshold", "passed"}

@@ -112,6 +112,16 @@ class TestSimulate:
                           initial={"q0": [700], "v0": [0]})
         assert main(["simulate", cfg]) == 3
 
+    def test_domain_error_writes_recorded_samples(self, tmp_path):
+        # log(q1) leaves its domain when q1 falls through 0, before t = 0.5
+        csv = tmp_path / "traj.csv"
+        cfg = base_config(tmp_path, system={"n": 1, "masses": [1], "forces": ["log(q1)"]},
+                          initial={"q0": [0.5], "v0": [-1]},
+                          outputs={"trajectory_csv": str(csv)})
+        assert main(["simulate", cfg]) == 3
+        rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0].startswith("t,") and len(rows) > 10
+
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_every_scenario_loads(self, name):
         initial = {"q0": [1.0], "v0": [0.0]} if name == "damped_oscillator" else {}
@@ -176,6 +186,15 @@ class TestVerify:
         assert rec["perturbation_scale"] == 1e-5
         assert rec["worst_block"] in ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
         assert 0 < rec["worst_sample"] < 100
+
+    def test_nan_force_exits_three(self, tmp_path, capsys):
+        force = "exp(700)*exp(700)*q1 - exp(700)*exp(700)*q1"
+        cfg = base_config(tmp_path, system={"n": 1, "masses": [1], "forces": [force]},
+                          initial={"q0": [1], "v0": [0]},
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 0.1},
+                          checks=[{"type": "drift"}])
+        assert main(["verify", cfg]) == 3
+        assert "PASS" not in capsys.readouterr().out
 
     def test_hamiltonian_equivalence_check(self, tmp_path, capsys):
         cfg = base_config(tmp_path,

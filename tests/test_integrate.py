@@ -1,9 +1,13 @@
-"""Time integration: accuracy, drift guards, events, projection."""
+"""Time integration: accuracy, drift guards, events, projection, failed runs."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sleigh_run
 from nonholo.engine import make_system
@@ -18,6 +22,24 @@ from nonholo.integrate import (
 
 def oscillator():
     return make_system(1, (1.0,), potential="q1^2/2")
+
+
+# inf*q1 - inf*q1: the force is NaN at every state
+NAN_FORCE = "exp(700)*exp(700)*q1 - exp(700)*exp(700)*q1"
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for the given seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSecondOrder:
@@ -145,3 +167,65 @@ class TestHamiltonianFlow:
         assert ext.termination.kind == "event"
         assert ext.termination.name == "e_zero_crossing"
         assert ext.termination.t == pytest.approx(1.0, abs=1e-3)
+
+
+# one-dimensional force expressions, with overflowing exponentials and log
+_LEAVES = st.sampled_from(["q1", "v1", "t", "1", "0.5", "-3", "700", "exp(700)"])
+_FORCES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("{}({})".format, st.sampled_from(["exp", "log", "sin", "sqrt"]), sub),
+    ),
+    max_leaves=6,
+)
+
+
+class TestFailedRuns:
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_nan_force_ends_run_as_error(self, method):
+        # under RKF45 the error estimate is NaN as well, which no step size can fix
+        spec = make_system(1, (1.0,), forces=(NAN_FORCE,))
+        cfg = IntegratorConfig(method=method, dt=0.01, t_end=0.1)
+        with deadline(20):
+            traj = integrate_second_order(spec, (1.0,), (0.0,), cfg)
+        assert traj.termination.kind == "error"
+        assert "non-finite" in traj.termination.name
+        assert traj.times.tolist() == [0.0]
+
+    def test_domain_error_keeps_recorded_samples(self):
+        # q1 falls from 0.5 through 0 before t = 0.5, where log(q1) leaves its domain
+        spec = make_system(1, (1.0,), forces=("log(q1)",))
+        cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=1.0)
+        traj = integrate_second_order(spec, (0.5,), (-1.0,), cfg)
+        assert traj.termination.kind == "error"
+        assert "ExprDomainError" in traj.termination.name
+        assert len(traj.times) > 10 and traj.termination.t == traj.times[-1] < 0.5
+        assert np.all(traj.q > 0.0)
+
+    def test_math_domain_error_ends_run(self):
+        # the first RK4 stage carries v1 = inf into sin, which raises ValueError
+        spec = make_system(1, (1.0,), forces=("sin(v1) + exp(700)*exp(700)",))
+        traj = integrate_second_order(spec, (0.0,), (0.0,), IntegratorConfig(dt=0.01, t_end=0.1))
+        assert traj.termination.kind == "error"
+        assert traj.times.tolist() == [0.0]
+
+    def test_forced_step_at_dt_min_ends_run(self):
+        # RKF45 cannot meet 1e-12 at the smallest allowed step of 0.2
+        cfg = IntegratorConfig(method="rkf45", dt=0.2, t_end=2.0, atol=1e-12, rtol=1e-12,
+                               dt_min=0.2, dt_max=0.5)
+        traj = integrate_second_order(oscillator(), (1.0,), (0.0,), cfg)
+        assert traj.termination.kind == "error"
+        assert "step-size collapse" in traj.termination.name
+        assert traj.times.tolist() == [0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(force=_FORCES)
+    def test_random_forces_end_finite_or_in_error(self, force):
+        spec = make_system(1, (1.0,), forces=(force,))
+        for method in ("rk4", "rkf45"):
+            cfg = IntegratorConfig(method=method, dt=0.01, t_end=0.2, dt_min=1e-4)
+            with deadline(20):
+                traj = integrate_second_order(spec, (0.5,), (-1.0,), cfg)
+            finite = np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.v))
+            assert traj.termination.kind == "error" or finite
