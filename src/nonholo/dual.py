@@ -1,8 +1,8 @@
 """First-order dual numbers for forward-mode differentiation.
 
-Components may themselves be duals, so nesting two levels gives exact
-second derivatives (used for force-field Jacobians that differentiate
-through the multiplier solve).
+They serve only the Poisson brackets in ``hamiltonian``, which seed one
+phase-space coordinate at a time.  Components may themselves be duals, so
+nesting two levels gives exact second derivatives.
 """
 
 import math

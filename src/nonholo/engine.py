@@ -10,13 +10,16 @@ h_a are fixed by demanding dD_a/dt = 0 along the motion:
 
 and the total acceleration is a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i.
 
-All evaluation paths accept dual-number components, so force-field Jacobians
-(differentiating through the multiplier solve) come out exact.
+``acceleration_jacobian_raw`` differentiates the multiplier solve in closed
+form, from the compiled second partials of the constraints and of the base
+force.  The other evaluation paths also accept dual-number components; only
+the Poisson brackets in ``hamiltonian`` pass duals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -201,6 +204,86 @@ def acceleration_raw(spec: SystemSpec, q, v, t):
         for i in range(n):
             total[i] = total[i] + ha * dva[i]
     return [total[i] / mass[i] for i in range(n)]
+
+
+def _base_force_jacobian(spec: SystemSpec, q, v, t):
+    """rows[i][x] = df0_i/dx over the directions x = q_1..q_n, v_1..v_n."""
+    n = spec.n
+    rows = [[0.0] * (2 * n) for _ in range(n)]
+    if spec.forces is not None:
+        for i, f in enumerate(spec.forces):
+            dq, dv, _ = _expr.grad_raw(f, q, v, t)
+            rows[i] = dq + dv
+    elif spec.potential is not None:
+        for kind, index, dpot in _expr.partial_exprs(spec.potential):
+            if kind == "q":  # f0_i = -dV/dq_i
+                dq, dv, _ = _expr.grad_raw(dpot, q, v, t)
+                rows[index - 1] = [-d for d in dq + dv]
+    return rows
+
+
+def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
+    """(dfdq, dfdv) with dfdq[j][i] = dF_j/dq_i for the total acceleration F.
+
+    The multiplier solve is differentiated in closed form, for the 2n
+    directions x = q_1..q_n, v_1..v_n at once (g_a = dD_a/dv, dots are d/dx):
+
+        hdot = G^-1 (bdot - Gdot h),
+        Fdot_i = (f0dot_i + sum_a hdot_a g_ai + h_a gdot_ai)/m_i,
+
+    with the second partials of D_a and of the base force from
+    ``expr.partial_exprs``.  One float ``_constraint_solve`` (with its Gram
+    regularity check); for m >= 2 the Gram matrix is factorised once for all
+    directions.
+    """
+    n = spec.n
+    mass = spec.mass
+    jac = _base_force_jacobian(spec, q, v, t)  # jac[j][x] = m_j dF_j/dx once complete
+    cons = spec.constraints.exprs
+    if cons:
+        f0 = base_force_raw(spec, q, v, t)
+        h, grads, gram, _, _ = _constraint_solve(spec, q, v, t, f0)
+        g_m = [[dv[i] / mass[i] for i in range(n)] for _, dv, _ in grads]
+        f0_m = [f0[i] / mass[i] for i in range(n)]
+        # rhs[a][x] = bdot_a - (Gdot h)_a, with
+        # b_a = -dD_a/dt - sum_i dD_a/dq_i v_i - sum_i g_ai f0_i/m_i; first the
+        # parts of bdot_a that need no second partial of D_a
+        rhs = []
+        for ga_m, (dqa, _, _) in zip(g_m, grads):
+            ra = [0.0] * n + [-d for d in dqa]
+            for c, row in zip(ga_m, jac):
+                ra = [r - c * d for r, d in zip(ra, row)]
+            rhs.append(ra)
+        for a, con in enumerate(cons):
+            ra, ha = rhs[a], h[a]
+            for kind, index, dcon in _expr.partial_exprs(con):
+                if kind == "t":
+                    continue
+                x = index - 1 if kind == "q" else n + index - 1
+                hq, gdot, ht = _expr.grad_raw(dcon, q, v, t)  # gdot = d(g_a)/dx
+                ra[x] -= ht + sum(map(mul, hq, v)) + sum(map(mul, gdot, f0_m))
+                # Gdot_ab = c_ab + c_ba with c_ab = sum_i gdot_ai g_bi/m_i
+                for b, gb_m in enumerate(g_m):
+                    c_ab = sum(map(mul, gdot, gb_m))
+                    ra[x] -= c_ab * h[b]
+                    rhs[b][x] -= c_ab * ha
+                for j in range(n):
+                    jac[j][x] += ha * gdot[j]
+        if len(cons) == 1:
+            gram00 = gram[0][0]
+            hdot = [[r / gram00 for r in rhs[0]]]
+        else:
+            # one LU factorisation of G serves every direction
+            hdot = np.linalg.solve(np.array(gram), np.array(rhs)).tolist()  # hdot[a][x]
+        for (_, ga, _), hdot_a in zip(grads, hdot):
+            for j in range(n):
+                gaj = ga[j]
+                jac[j] = [f + hd * gaj for f, hd in zip(jac[j], hdot_a)]
+    dfdq, dfdv = [], []
+    for row, mj in zip(jac, mass):
+        dfdq.append([f / mj for f in row[:n]])
+        dfdv.append([f / mj for f in row[n:]])
+    return dfdq, dfdv
 
 
 # --- public API ---------------------------------------------------------------

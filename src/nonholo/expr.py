@@ -4,9 +4,10 @@ Grammar over variables q1..qn, v1..vn and t, with +, -, *, /, ^ and the
 unary functions sin, cos, tan, exp, log, sqrt, abs.  Parsed trees are
 immutable; evaluation and differentiation are pure.  Derivatives are exact:
 ``grad_raw`` evaluates compiled symbolic partials, one per variable that
-actually occurs.  The compiled functions also accept dual numbers, which
-serve only the Jacobians through the multiplier solve and the Poisson
-brackets (see ``hamiltonian``).
+actually occurs, and ``grad_raw`` of an entry of ``partial_exprs`` is a row
+of second partials (the force Jacobians in ``engine`` are built from these).
+The compiled functions also accept dual numbers, which serve only the
+Poisson brackets (see ``hamiltonian``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class EvalPoint:
 class Expr:
     """Parsed expression: AST plus a compiled evaluator and free-variable set."""
 
-    __slots__ = ("root", "n", "free", "_fn", "_partials")
+    __slots__ = ("root", "n", "free", "_fn", "_partials", "_partial_exprs")
 
     def __init__(self, root: Node, n: int):
         self.root = root
@@ -80,6 +81,7 @@ class Expr:
             (kind, index, _compile(_derivative(root, kind, index)))
             for kind, index in self.free
         )
+        self._partial_exprs = None  # built by partial_exprs on first use
 
     def __repr__(self):
         return f"Expr({to_canonical(self.root)!r}, n={self.n})"
@@ -326,6 +328,9 @@ def _derivative(node: Node, kind: str, index: int) -> Node:
     if isinstance(node, Var):
         return _ONE if (node.kind, node.index) == (kind, index) else _ZERO
     if isinstance(node, Unary):
+        if node.op == "sgn":
+            # piecewise constant; the dual path treats abs's sign as a constant too
+            return _ZERO
         da = _derivative(node.arg, kind, index)
         if _is_const(da, 0.0):
             return _ZERO
@@ -397,8 +402,8 @@ def evaluate(expr: Expr, pt: EvalPoint) -> float:
 def grad_raw(expr: Expr, q, v, t):
     """(dq, dv, dt) partials on raw sequences via compiled symbolic partials.
 
-    Entries of q/v may themselves be duals; the partials are then duals too
-    (exact second derivatives, with no seed-direction mixing).
+    Entries of q/v may themselves be duals (the Poisson brackets seed them);
+    the partials are then duals too.
     """
     dq = [0.0] * len(q)
     dv = [0.0] * len(v)
@@ -412,6 +417,21 @@ def grad_raw(expr: Expr, q, v, t):
         else:
             dt = val
     return dq, dv, dt
+
+
+def partial_exprs(expr: Expr):
+    """((kind, index, Expr of d expr/d var), ...) per occurring variable.
+
+    Built on the first call and kept on *expr*, so parsing pays nothing for
+    it.  ``grad_raw`` of an entry gives the second partials of *expr* with
+    respect to that variable and each q_i, v_i and t.
+    """
+    if expr._partial_exprs is None:
+        expr._partial_exprs = tuple(
+            (kind, index, Expr(_derivative(expr.root, kind, index), expr.n))
+            for kind, index, _ in expr._partials
+        )
+    return expr._partial_exprs
 
 
 def grad(expr: Expr, pt: EvalPoint):

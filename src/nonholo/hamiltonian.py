@@ -81,22 +81,12 @@ def hamiltonian_value(spec: SystemSpec, z: ExtendedPhasePoint, mu_e: float = 0.0
 
 
 def force_jacobians(spec: SystemSpec, q, v, t: float = 0.0):
-    """(dF/dq, dF/dv) columns by dual seeding, through the multiplier solve."""
-    n = spec.n
-    dfdq = [[0.0] * n for _ in range(n)]  # dfdq[j][i] = dF_j/dq_i
-    dfdv = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        seeded = list(q)
-        seeded[i] = Dual(q[i], 1.0)
-        col = engine.acceleration_raw(spec, seeded, v, t)
-        for j in range(n):
-            dfdq[j][i] = col[j].du if isinstance(col[j], Dual) else 0.0
-        seeded = list(v)
-        seeded[i] = Dual(v[i], 1.0)
-        col = engine.acceleration_raw(spec, q, seeded, t)
-        for j in range(n):
-            dfdv[j][i] = col[j].du if isinstance(col[j], Dual) else 0.0
-    return dfdq, dfdv
+    """(dF/dq, dF/dv) with dfdq[j][i] = dF_j/dq_i, through the multiplier solve.
+
+    Closed form from second partials (``engine.acceleration_jacobian_raw``);
+    no dual numbers are involved.
+    """
+    return engine.acceleration_jacobian_raw(spec, q, v, t)
 
 
 def hamiltonian_vector_field(spec: SystemSpec, z: ExtendedPhasePoint,

@@ -38,6 +38,10 @@ class IntegratorConfig:
             raise ValueError("dt and t_end must be positive")
         if self.atol <= 0 or self.rtol <= 0:
             raise ValueError("atol and rtol must be positive")
+        if self.dt_min <= 0 or self.dt_max <= 0:
+            raise ValueError("dt_min and dt_max must be positive")
+        if self.dt_min > self.dt_max:
+            raise ValueError(f"dt_min {self.dt_min!r} exceeds dt_max {self.dt_max!r}")
 
 
 @dataclass(frozen=True)
@@ -130,13 +134,17 @@ def _rkf45_step(f, t, y, dt):
     return y5, err
 
 
-def _bisect_event(f, guard, t_prev, y_prev, dt):
-    """Locate the guard's downward crossing in [t_prev, t_prev + dt]."""
+def _bisect_event(step, guard, t_prev, y_prev, dt):
+    """Locate the guard's downward crossing in [t_prev, t_prev + dt].
+
+    step(t, y, h) is the run's own method, so an event state has the order of
+    the states around it.
+    """
     lo, hi = 0.0, dt
-    y_hi = _rk4_step(f, t_prev, y_prev, dt)
+    y_hi = step(t_prev, y_prev, dt)
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
-        y_mid = _rk4_step(f, t_prev, y_prev, mid)
+        y_mid = step(t_prev, y_prev, mid)
         if guard(t_prev + mid, y_mid) <= 0.0:
             hi, y_hi = mid, y_mid
         else:
@@ -158,6 +166,15 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
     y = list(y0)
     t_end = t0 + cfg.t_end
 
+    # the steppers are looked up at call time, so replacing them by module
+    # attribute reaches event location as well
+    if cfg.method == "rk4":
+        def substep(t_prev, y_prev, dt):
+            return _rk4_step(f, t_prev, y_prev, dt)
+    else:
+        def substep(t_prev, y_prev, dt):
+            return _rkf45_step(f, t_prev, y_prev, dt)[0]
+
     def advance(t_prev, y_prev, t_new, y_new):
         """Guard check + acceptance; returns (t, y, termination_or_None)."""
         nonlocal g_prev
@@ -167,7 +184,7 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
         for idx, gv in enumerate(g_new):
             if gv <= 0.0 < g_prev[idx]:
                 name, guard = guards[idx]
-                t_event, y_event = _bisect_event(f, guard, t_prev, y_prev, t_new - t_prev)
+                t_event, y_event = _bisect_event(substep, guard, t_prev, y_prev, t_new - t_prev)
                 accept(t_event, y_event)
                 return t_event, y_event, Termination("event", name, t_event)
         g_prev = g_new

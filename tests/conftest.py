@@ -1,8 +1,12 @@
-"""Shared helpers for building sleigh runs and on-shell phase paths."""
+"""Shared helpers for building sleigh runs, on-shell phase paths and the
+two-constraint knife edge with a rolling wheel."""
+
+import math
 
 import pytest
 
 from nonholo import IntegratorConfig, SleighParams, build_sleigh_spec, integrate_second_order
+from nonholo.engine import make_system
 from nonholo.paths import lift_on_shell
 from nonholo.scenarios import SCENARIOS
 
@@ -24,3 +28,18 @@ def linear_sleigh_path():
     """On-shell phase path for the linear-constraint sleigh, dt=0.01, t in [0,1]."""
     spec, traj = sleigh_run(dt=0.01, t_end=1.0)
     return spec, lift_on_shell(traj)
+
+
+# knife edge plus a wheel rolling along the heading q3: m = 2 linear constraints
+WHEEL_CONSTRAINTS = ("v1*sin(q3) - v2*cos(q3)", "v4 - v1*cos(q3) - v2*sin(q3)")
+
+
+def wheel_system():
+    return make_system(4, (1.0, 1.0, 1.0, 1.0), constraints=WHEEL_CONSTRAINTS)
+
+
+def wheel_state(heading, speed, turn_rate):
+    """(q0, v0) on both wheel constraints: moving at speed along the heading."""
+    q0 = (0.0, 0.0, heading, 0.0)
+    v0 = (speed * math.cos(heading), speed * math.sin(heading), turn_rate, speed)
+    return q0, v0

@@ -58,6 +58,12 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 2
         assert "initial.q0" in capsys.readouterr().err
 
+    def test_dt_min_above_dt_max_exits_two(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, integrator={"method": "rkf45", "dt": 0.01, "t_end": 1.0,
+                                                "dt_min": 0.5})
+        assert main(["simulate", cfg]) == 2
+        assert "integrator" in capsys.readouterr().err
+
     def test_bad_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

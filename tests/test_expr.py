@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nonholo.errors import ExprDomainError, ExprSyntaxError
 from nonholo.expr import (Binary, Const, EvalPoint, Unary, Var, canonical,
-                          evaluate, grad, parse_expression)
+                          evaluate, grad, grad_raw, parse_expression, partial_exprs)
 
 
 class TestParse:
@@ -178,6 +178,33 @@ class TestGrad:
             except ExprDomainError:
                 continue
             checked += 1
+
+
+class TestSecondPartials:
+    def test_hessian_rows(self):
+        # f = q1^2*v2 + sin(q2)*t: rows of second partials per occurring variable
+        e = parse_expression("q1^2*v2 + sin(q2)*t", 2)
+        q, v, t = (1.5, 0.4), (0.2, -0.7), 2.0
+        rows = {(kind, index): grad_raw(p, q, v, t) for kind, index, p in partial_exprs(e)}
+        assert set(rows) == {("q", 1), ("q", 2), ("v", 2), ("t", 0)}
+        assert rows["q", 1] == ([2 * v[1], 0.0], [0.0, 2 * q[0]], 0.0)
+        assert rows["v", 2] == ([2 * q[0], 0.0], [0.0, 0.0], 0.0)
+        dq, dv, dt = rows["q", 2]
+        assert dq == [0.0, pytest.approx(-math.sin(q[1]) * t)] and dv == [0.0, 0.0]
+        assert dt == pytest.approx(math.cos(q[1]))
+        assert rows["t", 0] == ([0.0, pytest.approx(math.cos(q[1]))], [0.0, 0.0], 0.0)
+
+    def test_built_on_first_use_only(self):
+        e = parse_expression("v1*sin(q1)", 1)
+        assert e._partial_exprs is None  # parsing does not pay for them
+        assert partial_exprs(e) is partial_exprs(e)
+
+    def test_abs_second_derivative_is_zero(self):
+        # d/dq1 abs(q1) is sgn(q1), which is piecewise constant
+        e = parse_expression("abs(q1)", 1)
+        [(_, _, d1)] = partial_exprs(e)
+        assert grad_raw(d1, (-0.3,), (0.0,), 0.0) == ([0.0], [0.0], 0.0)
+        assert d1._fn((-0.3,), (0.0,), 0.0) == -1.0
 
 
 _leaf = st.one_of(

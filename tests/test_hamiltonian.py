@@ -1,10 +1,15 @@
 """Extended phase space: Hamiltonian, vector field, brackets, gauge map."""
 
+import random
+
 import numpy as np
 import pytest
 
+from conftest import WHEEL_CONSTRAINTS
+from nonholo import engine
+from nonholo.dual import Dual
 from nonholo.engine import make_system
-from nonholo.errors import ExprDomainError, VanishingVelocity
+from nonholo.errors import ExprDomainError, RegularityError, VanishingVelocity
 from nonholo.hamiltonian import (
     ExtendedPhasePoint,
     GaugeInput,
@@ -18,6 +23,7 @@ from nonholo.hamiltonian import (
     unpack,
 )
 from nonholo.paths import PhasePath
+from nonholo.scenarios import SleighParams, build_sleigh_spec
 
 
 def free_particle(n=2):
@@ -98,12 +104,50 @@ class TestVectorField:
         assert poisson_bracket(lambda w: w.pi_e, H, z) == pytest.approx(zd.pi_e, rel=1e-10)
 
 
+def dual_seeded_jacobians(spec, q, v, t):
+    """Reference (dF/dq, dF/dv): one dual-seeded acceleration per direction."""
+    n = spec.n
+    dfdq = [[0.0] * n for _ in range(n)]
+    dfdv = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for base, jac, seed_q in ((q, dfdq, True), (v, dfdv, False)):
+            seeded = list(base)
+            seeded[i] = Dual(base[i], 1.0)
+            col = (engine.acceleration_raw(spec, seeded, list(v), t) if seed_q
+                   else engine.acceleration_raw(spec, list(q), seeded, t))
+            for j in range(n):
+                jac[j][i] = col[j].du if isinstance(col[j], Dual) else 0.0
+    return dfdq, dfdv
+
+
+JACOBIAN_SYSTEMS = {
+    "lda_linear": lambda: build_sleigh_spec("lda_linear", SleighParams()),
+    "lda_nonlinear": lambda: build_sleigh_spec("lda_nonlinear", SleighParams(m=1.5, I=0.7)),
+    "friction": lambda: build_sleigh_spec("friction", SleighParams(k=20.0)),
+    "wheel": lambda: make_system(4, (1.0, 2.0, 0.5, 1.5), constraints=WHEEL_CONSTRAINTS),
+    "potential_t": lambda: make_system(
+        3, (1.0, 2.0, 0.5), potential="q1^2/2 + cos(q2)*q3 + q1*q2^3",
+        constraints=("v1*cos(t) + v2*sin(q1*t) - 0.3*v3^2*q2",)),
+    "abs": lambda: make_system(
+        2, (1.0, 1.5), forces=("abs(q1 - v2)*q2", "-abs(v1)*q1"),
+        constraints=("abs(v1)*v2 + q1*v1 - 1",)),
+}
+
+
+def assert_jacobians_close(spec, q, v, t):
+    got = force_jacobians(spec, q, v, t)
+    want = dual_seeded_jacobians(spec, q, v, t)
+    for got_m, want_m in zip(got, want):
+        for got_row, want_row in zip(got_m, want_m):
+            for x, y in zip(got_row, want_row):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
 class TestForceJacobians:
     def test_against_central_differences(self):
         spec = make_system(3, (1.0, 1.0, 0.5),
                            constraints=("v1*sin(q3) - v2*cos(q3)",))
         rng = np.random.default_rng(7)
-        import nonholo.engine as engine
         for _ in range(20):
             q = rng.uniform(-1, 1, 3)
             v = rng.uniform(0.5, 1.5, 3)
@@ -122,6 +166,35 @@ class TestForceJacobians:
                     for j in range(3):
                         fd = (fp[j] - fm[j]) / (2 * h)
                         assert jac[j][i] == pytest.approx(fd, abs=1e-5, rel=1e-5)
+
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_SYSTEMS))
+    def test_matches_dual_seeding(self, name):
+        spec = JACOBIAN_SYSTEMS[name]()
+        rng = random.Random(name)
+        for _ in range(50):
+            q = [rng.uniform(-1.0, 1.0) for _ in range(spec.n)]
+            v = [rng.uniform(0.5, 1.5) for _ in range(spec.n)]
+            assert_jacobians_close(spec, q, v, rng.uniform(0.0, 2.0))
+
+    def test_abs_kinks_take_the_dual_sign(self):
+        # q1 = v2 and v1 = 0 put both abs arguments at 0, where both paths use sign +1
+        spec = JACOBIAN_SYSTEMS["abs"]()
+        assert_jacobians_close(spec, [0.7, -0.4], [0.0, 0.7], 0.0)
+
+    @pytest.mark.parametrize("forces, constraints, q, v, error", [
+        # zero Gram matrix, m = 1
+        (None, ("v1^2 + v2^2 - 1",), [0.0, 0.0], [0.0, 0.0], RegularityError),
+        # rank-one Gram matrix, m = 2
+        (None, ("v1 - v2", "2*v1 - 2*v2"), [0.0, 0.0], [1.0, 1.0], RegularityError),
+        # dF1/dq1 = 1/(2 sqrt(q1)) is unbounded at q1 = 0, where F itself is finite
+        (("sqrt(q1)", "v1"), (), [0.0, 0.3], [1.0, 0.5], ExprDomainError),
+    ])
+    def test_degenerate_points_raise_as_dual_seeding(self, forces, constraints, q, v, error):
+        spec = make_system(2, (1.0, 1.0), forces=forces, constraints=constraints)
+        with pytest.raises(error):
+            dual_seeded_jacobians(spec, q, v, 0.0)
+        with pytest.raises(error):
+            force_jacobians(spec, q, v, 0.0)
 
 
 class TestBrackets:

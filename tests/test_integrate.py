@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sleigh_run
+from conftest import sleigh_run, wheel_state, wheel_system
 from nonholo.engine import make_system
 from nonholo.errors import InitialStateError
-from nonholo.hamiltonian import ExtendedPhasePoint
+from nonholo.hamiltonian import ExtendedPhasePoint, hamiltonian_value
 from nonholo.integrate import (
     IntegratorConfig,
     integrate_hamiltonian,
@@ -112,6 +112,26 @@ class TestSecondOrder:
         assert traj.termination.t == pytest.approx(1.0, abs=1e-6)
         assert traj.q[-1, 0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_rkf45_event_located_with_rkf45(self):
+        # x(t) = cos t crosses 0 at pi/2; bisecting with RK4 sub-steps lands 2e-8 off
+        cfg = IntegratorConfig(method="rkf45", dt=0.1, t_end=3.0, atol=1e-8, rtol=1e-8,
+                               dt_max=0.5)
+        guard = ("zero", lambda t, y: y[0])
+        traj = integrate_second_order(oscillator(), (1.0,), (0.0,), cfg, guards=(guard,))
+        assert traj.termination.kind == "event"
+        assert abs(traj.termination.t - math.pi / 2) <= cfg.atol
+
+    def test_two_constraint_wheel_keeps_energy_and_constraints(self):
+        # both constraints are linear in v, so the multiplier forces do no work
+        q0, v0 = wheel_state(0.3, 1.2, 0.8)
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=2.0)
+        traj = integrate_second_order(wheel_system(), q0, v0, cfg)
+        assert traj.termination.kind == "completed"
+        assert traj.multipliers.shape == (len(traj.times), 2)
+        kinetic = 0.5 * np.sum(traj.v ** 2, axis=1)
+        assert np.max(np.abs(kinetic - kinetic[0])) <= 1e-9
+        assert np.max(np.abs(traj.constraint_values)) <= 1e-9
+
     def test_multipliers_recorded(self):
         spec, traj = sleigh_run(dt=0.01, t_end=0.3)
         assert traj.multipliers.shape == (len(traj.times), 1)
@@ -152,6 +172,22 @@ class TestHamiltonianFlow:
         assert np.max(np.abs(ext.pi_e - ext.times / 2.0)) <= 1e-10
         assert np.max(np.abs(ext.pi - 1.0)) <= 1e-12
 
+    def test_off_surface_two_constraint_wheel_conserves_h(self):
+        # autonomous system and constant mu_e: H is a first integral of the flow
+        spec = wheel_system()
+        q0, v0 = wheel_state(0.3, 1.2, 0.8)
+        z0 = ExtendedPhasePoint(q=q0, p=(0.03, -0.02, 0.01, 0.04), v=v0,
+                                pi=(0.02, 0.04, -0.03, 0.01), e=1.3, pi_e=0.02)
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.3)
+        ext = integrate_hamiltonian(spec, z0, lambda t: 0.1, cfg)
+        assert ext.termination.kind == "completed"
+        h = [hamiltonian_value(spec, ExtendedPhasePoint(
+                q=tuple(ext.q[k]), p=tuple(ext.p[k]), v=tuple(ext.v[k]), pi=tuple(ext.pi[k]),
+                e=float(ext.e[k]), pi_e=float(ext.pi_e[k])), 0.1)
+             for k in range(len(ext.times))]
+        assert h[0] != 0.0
+        assert max(abs(x - h[0]) for x in h) <= 1e-10
+
     def test_zero_e_start_rejected(self):
         spec = make_system(1, (1.0,))
         z0 = ExtendedPhasePoint(q=(0.0,), p=(0.0,), v=(0.0,), pi=(0.0,),
@@ -179,6 +215,19 @@ _FORCES = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+class TestConfig:
+    @pytest.mark.parametrize("limits", [dict(dt_min=0.0), dict(dt_min=-1e-3),
+                                        dict(dt_max=0.0), dict(dt_max=-0.1),
+                                        dict(dt_min=0.5), dict(dt_min=0.2, dt_max=0.1)])
+    def test_bad_step_limits_rejected(self, limits):
+        with pytest.raises(ValueError):
+            IntegratorConfig(method="rkf45", **limits)
+
+    def test_equal_step_limits_accepted(self):
+        cfg = IntegratorConfig(method="rkf45", dt=0.1, dt_min=0.1, dt_max=0.1)
+        assert cfg.dt_min == cfg.dt_max
 
 
 class TestFailedRuns:
