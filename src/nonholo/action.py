@@ -8,8 +8,10 @@ Two functionals are evaluated with matched second-order discretizations
 * its first-order phase-space form
   integral p.qd + pi.vd + pi_e*ed - pi^2/2e - pi.F - v.p - mu_e*pi_e dt.
 
-Both evaluate over the whole path, F(q, v, t) once per sample; the stationarity
-check perturbs samples 7 apart together and re-evaluates F only where q or v moves.
+Both evaluate over the whole path, F(q, v, t) once per sample.  The
+stationarity check takes the gradient of the discrete first-order action in
+closed form, the discrete Euler-Lagrange expression, from F and its Jacobians
+at each sample.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from . import engine
 from .engine import SystemSpec
 from .errors import ExprDomainError
 from .hamiltonian import GaugeInput, gauge_transform
-from .paths import ConfigPath, PhasePath, diff1, diff2, trapezoid_weights
-
-_BLOCKS = ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
-# A perturbation at sample j changes the integrand only at j-1..j+1 and at sample 0
-# (j <= 2) or N-1 (j >= N-3), so samples _STRIDE apart are perturbed together; each
-# is read off over its own window j-3..j+3, which fixes the rounding of the sum.
-_STRIDE = 7
+from .paths import ConfigPath, PhasePath, diff1, diff1_adjoint, diff2, trapezoid_weights
 
 
 def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -39,6 +35,11 @@ def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", a, b)
+
+
+def _check_e(e: np.ndarray):
+    if np.any(e == 0.0):
+        raise ExprDomainError("auxiliary variable e is zero along the path")
 
 
 def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) -> float:
@@ -56,29 +57,22 @@ def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) 
     return float(trapezoid_weights(len(path.times), path.dt) @ density)
 
 
-def _phase_arrays(path: PhasePath) -> dict:
-    return {name: np.array(getattr(path, name), dtype=float) for name in _BLOCKS}
-
-
-def _integrand_at(arrays: dict, forces: np.ndarray, dt: float) -> np.ndarray:
+def _integrand_at(path: PhasePath, forces: np.ndarray) -> np.ndarray:
     """First-order action integrand at every sample, given F there."""
-    p, v, pi = (arrays[name] for name in ("p", "v", "pi"))
-    e, pi_e, mu_e = (arrays[name] for name in ("e", "pi_e", "mu_e"))
-    if np.any(e == 0.0):
-        raise ExprDomainError("auxiliary variable e is zero along the path")
-    qd = diff1(arrays["q"], dt)
-    vd = diff1(arrays["v"], dt)
-    ed = diff1(arrays["e"], dt)
+    p, v, pi, e, pi_e = path.p, path.v, path.pi, path.e, path.pi_e
+    _check_e(e)
+    qd = diff1(path.q, path.dt)
+    vd = diff1(v, path.dt)
+    ed = diff1(e, path.dt)
     return (_rowdot(p, qd) + _rowdot(pi, vd) + pi_e * ed - _rowdot(pi, pi) / (2.0 * e)
-            - _rowdot(pi, forces) - _rowdot(v, p) - mu_e * pi_e)
+            - _rowdot(pi, forces) - _rowdot(v, p) - path.mu_e * pi_e)
 
 
 def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
     if len(path.times) < 5:
         raise ValueError("need at least 5 samples")
-    arrays = _phase_arrays(path)
-    forces = _forces(spec, arrays["q"], arrays["v"], path.times)
-    density = _integrand_at(arrays, forces, path.dt)
+    forces = _forces(spec, path.q, path.v, path.times)
+    density = _integrand_at(path, forces)
     return float(trapezoid_weights(len(path.times), path.dt) @ density)
 
 
@@ -95,40 +89,38 @@ class StationarityReport:
 
 def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: float,
                        C: float = 50.0) -> StationarityReport:
-    """Central-difference gradient of the first-order action over every
-    interior sample coordinate; near-solutions score at the discretization
-    floor C*(dt^2 + perturbation_scale^2), generic paths at O(1).
+    """Largest |dS/dx| of the discrete first-order action S = sum_k w_k L_k over
+    every interior sample coordinate x; near-solutions score at the
+    discretization floor C*(dt^2 + perturbation_scale^2), generic paths at O(1).
+
+    The gradient is the discrete Euler-Lagrange expression in closed form
+    (D = diff1, D^T = diff1_adjoint), the eps -> 0 limit of central differences
+    of S with step eps; perturbation_scale enters only the threshold.
     """
-    arrays = _phase_arrays(path)
-    q, v, times = arrays["q"], arrays["v"], path.times
-    N = len(times)
-    dt = path.dt
-    weights = trapezoid_weights(N, dt)
-    eps = perturbation_scale
-    forces = _forces(spec, q, v, times)
-    # (N, width) views: perturbing a view entry perturbs the arrays the integrand reads
-    columns = [(block, view, i) for block in _BLOCKS
-               for view in [arrays[block].reshape(N, -1)] for i in range(view.shape[1])]
-    grads = np.zeros((N, len(columns)))
-    for first in range(1, min(_STRIDE + 1, N - 1)):
-        js = np.arange(first, N - 1, _STRIDE)
-        windows = [slice(max(0, j - 3), min(N, j + 4)) for j in js]
-        f_js = forces[js]
-        for c, (block, view, i) in enumerate(columns):
-            orig = view[js, i]
-            for sign in (1.0, -1.0):
-                view[js, i] = orig + sign * eps
-                if block in ("q", "v"):
-                    forces[js] = _forces(spec, q[js], v[js], times[js])
-                density = _integrand_at(arrays, forces, dt)
-                grads[js, c] += sign * np.array([weights[w] @ density[w] for w in windows])
-            view[js, i] = orig
-            forces[js] = f_js
-    grads = np.abs(grads) / (2.0 * eps)
+    q, p, v, pi = path.q, path.p, path.v, path.pi
+    e, pi_e, mu_e, dt = path.e, path.pi_e, path.mu_e, path.dt
+    rows = [engine.acceleration_jacobian_raw(spec, q[k], v[k], float(path.times[k]))
+            for k in range(len(path.times))]
+    forces, dfdq, dfdv = (np.array(block) for block in zip(*rows))
+    _check_e(e)
+    w = trapezoid_weights(len(path.times), dt)
+    wn = w[:, None]
+    blocks = {
+        "q": diff1_adjoint(wn * p, dt) - wn * np.einsum("kj,kji->ki", pi, dfdq),
+        "p": wn * (diff1(q, dt) - v),
+        "v": diff1_adjoint(wn * pi, dt) - wn * (np.einsum("kj,kji->ki", pi, dfdv) + p),
+        "pi": wn * (diff1(v, dt) - pi / e[:, None] - forces),
+        "e": diff1_adjoint(w * pi_e, dt) + w * _rowdot(pi, pi) / (2.0 * e * e),
+        "pi_e": w * (diff1(e, dt) - mu_e),
+        "mu_e": -w * pi_e,
+    }
+    columns = [name for name, g in blocks.items() for _ in range(np.size(g[0]))]
+    grads = np.abs(np.column_stack(list(blocks.values()))[1:-1])  # interior samples
     # first maximum in (sample, block, component) order; a NaN wins and fails the check
     k = int(np.argmax(grads))
     max_grad = float(grads.flat[k])
-    worst = ("", -1) if max_grad == 0.0 else (columns[k % len(columns)][0], k // len(columns))
+    worst = ("", -1) if max_grad == 0.0 else (columns[k % len(columns)], 1 + k // len(columns))
+    eps = perturbation_scale
     threshold = C * (dt * dt + eps * eps)
     return StationarityReport(
         dt=dt, perturbation_scale=eps, max_gradient=max_grad, threshold=threshold,

@@ -189,14 +189,10 @@ def multipliers_raw(spec: SystemSpec, q, v, t):
     return h, gram, rhs, min_eig
 
 
-def acceleration_raw(spec: SystemSpec, q, v, t):
-    """Total acceleration a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i."""
-    f0 = base_force_raw(spec, q, v, t)
+def _total_acceleration(spec: SystemSpec, f0, h, grads):
+    """a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i, summed in constraint order."""
     mass = spec.mass
     n = spec.n
-    if not spec.constraints.exprs:
-        return [f0[i] / mass[i] for i in range(n)]
-    h, grads, _, _, _ = _constraint_solve(spec, q, v, t, f0)
     total = list(f0)
     for a in range(len(h)):
         dva = grads[a][1]
@@ -204,6 +200,16 @@ def acceleration_raw(spec: SystemSpec, q, v, t):
         for i in range(n):
             total[i] = total[i] + ha * dva[i]
     return [total[i] / mass[i] for i in range(n)]
+
+
+def acceleration_raw(spec: SystemSpec, q, v, t):
+    """Total acceleration a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i."""
+    f0 = base_force_raw(spec, q, v, t)
+    if not spec.constraints.exprs:
+        mass = spec.mass
+        return [f0[i] / mass[i] for i in range(spec.n)]
+    h, grads, _, _, _ = _constraint_solve(spec, q, v, t, f0)
+    return _total_acceleration(spec, f0, h, grads)
 
 
 def _base_force_jacobian(spec: SystemSpec, q, v, t):
@@ -223,7 +229,8 @@ def _base_force_jacobian(spec: SystemSpec, q, v, t):
 
 
 def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
-    """(dfdq, dfdv) with dfdq[j][i] = dF_j/dq_i for the total acceleration F.
+    """(F, dfdq, dfdv): the total acceleration F, bit for bit as ``acceleration_raw``
+    gives it, and its Jacobians dfdq[j][i] = dF_j/dq_i, from one constraint solve.
 
     The multiplier solve is differentiated in closed form, for the 2n
     directions x = q_1..q_n, v_1..v_n at once (g_a = dD_a/dv, dots are d/dx):
@@ -233,16 +240,19 @@ def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
 
     with the second partials of D_a and of the base force from
     ``expr.partial_exprs``.  One float ``_constraint_solve`` (with its Gram
-    regularity check); for m >= 2 the Gram matrix is factorised once for all
-    directions.
+    regularity check) serves F and the Jacobians; for m >= 2 the Gram matrix
+    is factorised once for all directions.
     """
     n = spec.n
     mass = spec.mass
-    jac = _base_force_jacobian(spec, q, v, t)  # jac[j][x] = m_j dF_j/dx once complete
+    f0 = base_force_raw(spec, q, v, t)
     cons = spec.constraints.exprs
+    h = grads = ()
     if cons:
-        f0 = base_force_raw(spec, q, v, t)
         h, grads, gram, _, _ = _constraint_solve(spec, q, v, t, f0)
+    accel = _total_acceleration(spec, f0, h, grads)
+    jac = _base_force_jacobian(spec, q, v, t)  # jac[j][x] = m_j dF_j/dx once complete
+    if cons:
         g_m = [[dv[i] / mass[i] for i in range(n)] for _, dv, _ in grads]
         f0_m = [f0[i] / mass[i] for i in range(n)]
         # rhs[a][x] = bdot_a - (Gdot h)_a, with
@@ -283,7 +293,7 @@ def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
     for row, mj in zip(jac, mass):
         dfdq.append([f / mj for f in row[:n]])
         dfdv.append([f / mj for f in row[n:]])
-    return dfdq, dfdv
+    return accel, dfdq, dfdv
 
 
 # --- public API ---------------------------------------------------------------

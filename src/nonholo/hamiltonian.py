@@ -86,7 +86,8 @@ def force_jacobians(spec: SystemSpec, q, v, t: float = 0.0):
     Closed form from second partials (``engine.acceleration_jacobian_raw``);
     no dual numbers are involved.
     """
-    return engine.acceleration_jacobian_raw(spec, q, v, t)
+    _, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, q, v, t)
+    return dfdq, dfdv
 
 
 def hamiltonian_vector_field(spec: SystemSpec, z: ExtendedPhasePoint,
@@ -100,19 +101,14 @@ def hamiltonian_vector_field(spec: SystemSpec, z: ExtendedPhasePoint,
     if value(z.e) == 0.0:
         raise ExprDomainError("auxiliary variable e is zero")
     n = z.n
-    f = engine.acceleration_raw(spec, z.q, z.v, t)
-    qd = list(z.v)
-    vd = [z.pi[i] / z.e + f[i] for i in range(n)]
-    pi2 = 0.0
-    for x in z.pi:
-        pi2 = pi2 + x * x
-    pi_ed = pi2 / (2.0 * z.e * z.e)
     if all(value(x) == 0.0 for x in z.pi):
         # momentum rates vanish identically with pi = 0; skip the Jacobians
+        f = engine.acceleration_raw(spec, z.q, z.v, t)
         pd = [0.0] * n
         pid = [-z.p[i] for i in range(n)]
     else:
-        dfdq, dfdv = force_jacobians(spec, z.q, z.v, t)
+        # F and its Jacobians from one multiplier solve
+        f, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, z.q, z.v, t)
         pd = [0.0] * n
         pid = [0.0] * n
         for i in range(n):
@@ -123,6 +119,12 @@ def hamiltonian_vector_field(spec: SystemSpec, z: ExtendedPhasePoint,
                 acc_v = acc_v + z.pi[j] * dfdv[j][i]
             pd[i] = -acc_q
             pid[i] = -z.p[i] - acc_v
+    qd = list(z.v)
+    vd = [z.pi[i] / z.e + f[i] for i in range(n)]
+    pi2 = 0.0
+    for x in z.pi:
+        pi2 = pi2 + x * x
+    pi_ed = pi2 / (2.0 * z.e * z.e)
     return [*qd, *pd, *vd, *pid, mu_e, pi_ed]
 
 

@@ -96,6 +96,17 @@ def diff1(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def diff1_adjoint(x: np.ndarray, dt: float) -> np.ndarray:
+    """Transpose of the diff1 stencil applied along axis 0: D^T x where diff1(y) = D y."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    out[2:] += x[1:-1]
+    out[:-2] -= x[1:-1]
+    out[:3] += np.multiply.outer([-3.0, 4.0, -1.0], x[0])
+    out[-3:] += np.multiply.outer([1.0, -4.0, 3.0], x[-1])
+    return out / (2.0 * dt)
+
+
 def diff2(y: np.ndarray, dt: float) -> np.ndarray:
     """Second time derivative along axis 0; O(dt^2) everywhere."""
     out = np.empty_like(y, dtype=float)

@@ -1,5 +1,6 @@
-"""Shared helpers for building sleigh runs, on-shell phase paths and the
-two-constraint knife edge with a rolling wheel."""
+"""Shared helpers for building sleigh runs, on-shell phase paths, the
+two-constraint knife edge with a rolling wheel and a system with a
+time-dependent constraint."""
 
 import math
 
@@ -43,3 +44,9 @@ def wheel_state(heading, speed, turn_rate):
     q0 = (0.0, 0.0, heading, 0.0)
     v0 = (speed * math.cos(heading), speed * math.sin(heading), turn_rate, speed)
     return q0, v0
+
+
+def potential_t_system():
+    """A potential with one constraint that is nonlinear in v and depends on t."""
+    return make_system(3, (1.0, 2.0, 0.5), potential="q1^2/2 + cos(q2)*q3 + q1*q2^3",
+                       constraints=("v1*cos(t) + v2*sin(q1*t) - 0.3*v3^2*q2",))

@@ -7,8 +7,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import sleigh_run
-from nonholo import action
+from conftest import potential_t_system, sleigh_run, wheel_system
+from nonholo import action, engine
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -16,12 +16,19 @@ from nonholo.action import (
     universal_action,
 )
 from nonholo.engine import make_system
-from nonholo.paths import ConfigPath, PhasePath, bump, diff1, diff1_at, lift_on_shell
+from nonholo.paths import (
+    ConfigPath, PhasePath, bump, diff1, diff1_adjoint, diff1_at, lift_on_shell,
+)
+from nonholo.scenarios import SleighParams, build_sleigh_spec
 
 
 FORCE_SETS = {"mild": ("-q1*v2", "sin(q1) - v1"),
               "dF_dominated": ("-50*q1*v2", "50*sin(q1) - v1"),
               "F_dominated": ("40 - q1*v2", "40 + sin(q1) - v1")}
+CONSTRAINED_SYSTEMS = {"lda_nonlinear": lambda: build_sleigh_spec("lda_nonlinear", SleighParams()),
+                       "wheel": wheel_system,
+                       "potential_t": potential_t_system}
+_BLOCKS = ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
 
 
 def constant_phase_path(n=1, T=1.0, dt=0.01, **vals):
@@ -32,6 +39,39 @@ def constant_phase_path(n=1, T=1.0, dt=0.01, **vals):
     return PhasePath(times=times, q=fill("q", 0.0), p=fill("p", 0.0),
                      v=fill("v", 0.0), pi=fill("pi", 0.0), e=sfill("e", 1.0),
                      pi_e=sfill("pi_e", 0.0), mu_e=sfill("mu_e", 0.0))
+
+
+def smooth_phase_path(rng, N, n, dt):
+    """p = pi_e = mu_e = 0; q and v smooth, v1 and cos(q3) away from 0; pi a bump."""
+    times = np.arange(N) * dt
+
+    def smooth(lo, hi):
+        base, freq, phase = rng.uniform(lo, hi, n), rng.uniform(0.5, 2.0, n), rng.uniform(0, 6, n)
+        return base + 0.3 * np.sin(np.outer(times, freq) + phase)
+    return PhasePath(times=times, q=smooth(-0.7, 0.7), p=np.zeros((N, n)), v=smooth(0.7, 1.3),
+                     pi=3.0 * bump(times)[:, None] * rng.normal(size=n),
+                     e=5.0 + 0.5 * np.sin(times), pi_e=np.zeros(N), mu_e=np.zeros(N))
+
+
+def central_differences(spec, path, eps):
+    """Signed central differences of first_order_action over every interior coordinate,
+    (N - 2, 4n + 3) in (sample, block, component) order, and the block of each column."""
+    N = len(path.times)
+    rows = []
+    for j in range(1, N - 1):
+        row = []
+        for block in _BLOCKS:
+            base = getattr(path, block)
+            for i in range(base[j].size):
+                sides = []
+                for x in (eps, -eps):
+                    arr = base.copy()
+                    arr.reshape(N, -1)[j, i] += x
+                    sides.append(first_order_action(spec, path.replace(**{block: arr})))
+                row.append((sides[0] - sides[1]) / (2.0 * eps))
+        rows.append(row)
+    columns = [block for block in _BLOCKS for _ in range(getattr(path, block)[0].size)]
+    return np.array(rows), columns
 
 
 class TestUniversalAction:
@@ -126,6 +166,16 @@ class TestStationarity:
 
 
 class TestSampleSpans:
+    @pytest.mark.parametrize("N", [4, 5, 9])
+    def test_diff1_adjoint_is_the_transpose(self, N):
+        dt = 0.1
+        dense = diff1(np.eye(N), dt).T
+        rng = np.random.default_rng(N)
+        for x in (rng.normal(size=N), rng.normal(size=(N, 3))):
+            want = dense @ x
+            assert np.allclose(diff1_adjoint(x, dt), want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+
     def test_diff1_at_is_diff1_on_every_slice(self):
         y = np.random.default_rng(0).normal(size=(6, 2))
         for arr in (y, y[:, 0]):
@@ -134,55 +184,66 @@ class TestSampleSpans:
                 for b in range(a + 1, 7):
                     assert np.array_equal(diff1_at(arr, slice(a, b), 0.1), full[a:b])
 
-    @pytest.mark.parametrize("forces, N", [
-        pytest.param(FORCE_SETS["mild"], 9, id="mild"),
-        pytest.param(FORCE_SETS["dF_dominated"], 9, id="dF_dominated"),
-        pytest.param(FORCE_SETS["F_dominated"], 9, id="F_dominated"),
-        *(pytest.param(forces, 23, id=f"{name}-N23") for name, forces in FORCE_SETS.items()),
+    @pytest.mark.parametrize("system, N", [
+        pytest.param("mild", 9, id="mild"),
+        pytest.param("dF_dominated", 9, id="dF_dominated"),
+        pytest.param("F_dominated", 9, id="F_dominated"),
+        *(pytest.param(name, 23, id=f"{name}-N23") for name in FORCE_SETS),
+        *(pytest.param(name, N, id=f"{name}-N{N}") for name, N in (
+            ("lda_nonlinear", 9), ("lda_nonlinear", 23), ("wheel", 9),
+            ("potential_t", 9), ("potential_t", 23))),
     ])
-    def test_stationarity_matches_brute_force_differences(self, forces, N):
-        # central differences of the whole action over every interior coordinate;
-        # the largest entry is a p entry (mild), a q or v entry through dF (dF_dominated)
-        # or a pi entry through F itself (F_dominated); with N = 23 three samples are
-        # perturbed together and both end windows are read off a grouped evaluation
+    def test_stationarity_matches_brute_force_differences(self, system, N):
+        # differences of the whole action over every interior coordinate.  Explicit
+        # forces, on random paths: the largest entry is a p entry (mild), a q or v
+        # entry through dF (dF_dominated) or a pi entry through F itself (F_dominated);
+        # plain central differences match to 1e-9.  Constraints, on smooth paths with
+        # p = 0: the largest entry is a v entry of which dF through the multiplier
+        # solve makes 2-15 %, or a q entry that is all dF; plain central differences
+        # carry O(eps^2) truncation there (up to 3e-6 relative at eps = 1e-3), the
+        # Richardson-extrapolated ones match to 1e-10 (at most 4e-12 seen)
         rng = np.random.default_rng(3)
-        n, eps = 2, 1e-4
-        spec = make_system(n, (1.0, 2.0), forces=forces)
-        path = PhasePath(times=np.arange(N) * 0.1, q=rng.normal(size=(N, n)),
-                         p=rng.normal(size=(N, n)), v=rng.normal(size=(N, n)),
-                         pi=rng.normal(size=(N, n)), e=1.0 + rng.random(N),
-                         pi_e=rng.normal(size=N), mu_e=rng.normal(size=N))
-        best = (0.0, "", -1)
-        for j in range(1, N - 1):
-            for block in ("q", "p", "v", "pi", "e", "pi_e", "mu_e"):
-                base = getattr(path, block)
-                for i in range(base[j].size):
-                    sides = []
-                    for x in (eps, -eps):
-                        arr = base.copy()
-                        arr.reshape(N, -1)[j, i] += x
-                        sides.append(first_order_action(spec, path.replace(**{block: arr})))
-                    g = abs(sides[0] - sides[1]) / (2.0 * eps)
-                    if g > best[0]:
-                        best = (g, block, j)
+        eps = 1e-4
+        if system in FORCE_SETS:
+            n = 2
+            spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS[system])
+            path = PhasePath(times=np.arange(N) * 0.1, q=rng.normal(size=(N, n)),
+                             p=rng.normal(size=(N, n)), v=rng.normal(size=(N, n)),
+                             pi=rng.normal(size=(N, n)), e=1.0 + rng.random(N),
+                             pi_e=rng.normal(size=N), mu_e=rng.normal(size=N))
+            grad, columns = central_differences(spec, path, eps)
+            rel = 1e-9
+        else:
+            spec = CONSTRAINED_SYSTEMS[system]()
+            path = smooth_phase_path(rng, N, spec.n, dt=0.2)
+            cd_eps, columns = central_differences(spec, path, 1e-3)
+            cd_half, _ = central_differences(spec, path, 0.5e-3)
+            grad = (4.0 * cd_half - cd_eps) / 3.0
+            rel = 1e-10
+        # first maximum in (sample, block, component) order, as the check reports it
+        k = int(np.argmax(np.abs(grad)))
         rep = stationarity_check(spec, path, perturbation_scale=eps)
-        assert rep.max_gradient == pytest.approx(best[0], rel=1e-9)
-        assert (rep.worst_block, rep.worst_sample) == best[1:]
+        assert rep.max_gradient == pytest.approx(abs(grad.flat[k]), rel=rel)
+        assert (rep.worst_block, rep.worst_sample) == (columns[k % len(columns)],
+                                                       1 + k // len(columns))
 
     @pytest.mark.parametrize("N", [5, 9, 23])
-    def test_integrand_evaluations_per_check(self, monkeypatch, N):
-        # one whole-path evaluation per (stride offset, coordinate, side)
-        calls = []
-        integrand = action._integrand_at
+    def test_one_jacobian_call_per_sample(self, monkeypatch, N):
+        # the gradient is one pass: F and dF once per sample, no action integrand
+        calls = {"jacobian": 0, "integrand": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return integrand(*args)
-        monkeypatch.setattr(action, "_integrand_at", counted)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(engine, "acceleration_jacobian_raw",
+                            counted("jacobian", engine.acceleration_jacobian_raw))
+        monkeypatch.setattr(action, "_integrand_at", counted("integrand", action._integrand_at))
         n = 2
         spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])
         stationarity_check(spec, constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1), 1e-4)
-        assert len(calls) == 2 * (4 * n + 3) * min(7, N - 2)
+        assert calls == {"jacobian": N, "integrand": 0}
 
     def test_nan_entry_fails_the_check(self, linear_sleigh_path):
         spec, path = linear_sleigh_path

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import WHEEL_CONSTRAINTS
+from conftest import WHEEL_CONSTRAINTS, potential_t_system
 from nonholo import engine
 from nonholo.dual import Dual
 from nonholo.engine import make_system
@@ -125,9 +125,7 @@ JACOBIAN_SYSTEMS = {
     "lda_nonlinear": lambda: build_sleigh_spec("lda_nonlinear", SleighParams(m=1.5, I=0.7)),
     "friction": lambda: build_sleigh_spec("friction", SleighParams(k=20.0)),
     "wheel": lambda: make_system(4, (1.0, 2.0, 0.5, 1.5), constraints=WHEEL_CONSTRAINTS),
-    "potential_t": lambda: make_system(
-        3, (1.0, 2.0, 0.5), potential="q1^2/2 + cos(q2)*q3 + q1*q2^3",
-        constraints=("v1*cos(t) + v2*sin(q1*t) - 0.3*v3^2*q2",)),
+    "potential_t": potential_t_system,
     "abs": lambda: make_system(
         2, (1.0, 1.5), forces=("abs(q1 - v2)*q2", "-abs(v1)*q1"),
         constraints=("abs(v1)*v2 + q1*v1 - 1",)),
