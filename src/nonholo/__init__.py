@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .engine import ConstraintSet, MultiplierResult, SystemSpec, make_system
 from .expr import EvalPoint, Expr, parse_expression
-from .hamiltonian import ExtendedPhasePoint, GaugeInput
+from .hamiltonian import ExtendedPhasePoint
 from .integrate import (ExtendedTrajectory, IntegratorConfig, Termination,
                         Trajectory, integrate_hamiltonian, integrate_second_order)
 from .paths import ConfigPath, PhasePath
@@ -20,7 +20,7 @@ __all__ = [
     "__version__",
     "ConstraintSet", "MultiplierResult", "SystemSpec", "make_system",
     "EvalPoint", "Expr", "parse_expression",
-    "ExtendedPhasePoint", "GaugeInput",
+    "ExtendedPhasePoint",
     "ExtendedTrajectory", "IntegratorConfig", "Termination", "Trajectory",
     "integrate_hamiltonian", "integrate_second_order",
     "ConfigPath", "PhasePath",

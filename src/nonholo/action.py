@@ -23,7 +23,7 @@ import numpy as np
 from . import engine
 from .engine import SystemSpec
 from .errors import ExprDomainError
-from .hamiltonian import GaugeInput, gauge_transform
+from .hamiltonian import gauge_transform
 from .paths import ConfigPath, PhasePath, diff1, diff1_adjoint, diff2, trapezoid_weights
 
 
@@ -79,7 +79,6 @@ def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
 @dataclass
 class StationarityReport:
     dt: float
-    perturbation_scale: float
     max_gradient: float
     threshold: float
     passed: bool
@@ -87,15 +86,14 @@ class StationarityReport:
     worst_sample: int = -1
 
 
-def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: float,
-                       C: float = 50.0) -> StationarityReport:
+def stationarity_check(spec: SystemSpec, path: PhasePath, C: float = 50.0) -> StationarityReport:
     """Largest |dS/dx| of the discrete first-order action S = sum_k w_k L_k over
     every interior sample coordinate x; near-solutions score at the
-    discretization floor C*(dt^2 + perturbation_scale^2), generic paths at O(1).
+    discretization floor C*dt^2, generic paths at O(1).
 
     The gradient is the discrete Euler-Lagrange expression in closed form
     (D = diff1, D^T = diff1_adjoint), the eps -> 0 limit of central differences
-    of S with step eps; perturbation_scale enters only the threshold.
+    of S with step eps.
     """
     q, p, v, pi = path.q, path.p, path.v, path.pi
     e, pi_e, mu_e, dt = path.e, path.pi_e, path.mu_e, path.dt
@@ -120,10 +118,9 @@ def stationarity_check(spec: SystemSpec, path: PhasePath, perturbation_scale: fl
     k = int(np.argmax(grads))
     max_grad = float(grads.flat[k])
     worst = ("", -1) if max_grad == 0.0 else (columns[k % len(columns)], 1 + k // len(columns))
-    eps = perturbation_scale
-    threshold = C * (dt * dt + eps * eps)
+    threshold = C * dt * dt
     return StationarityReport(
-        dt=dt, perturbation_scale=eps, max_gradient=max_grad, threshold=threshold,
+        dt=dt, max_gradient=max_grad, threshold=threshold,
         passed=bool(max_grad <= threshold), worst_block=worst[0], worst_sample=worst[1],
     )
 
@@ -151,7 +148,7 @@ def gauge_invariance_check(spec: SystemSpec, path: PhasePath, alpha_profile: np.
     amplitudes = [alpha_amplitude, alpha_amplitude / 2.0, alpha_amplitude / 4.0]
     deltas = []
     for a in amplitudes:
-        transformed = gauge_transform(path, GaugeInput(alpha=a * alpha_profile))
+        transformed = gauge_transform(path, a * alpha_profile)
         deltas.append(first_order_action(spec, transformed) - base)
     design = np.column_stack([amplitudes, np.square(amplitudes)])
     coeffs, *_ = np.linalg.lstsq(design, np.asarray(deltas), rcond=None)

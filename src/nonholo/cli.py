@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -31,6 +31,9 @@ FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
 
 # inline systems: no default initial state, no guards, no reference solution
 _INLINE = Scenario(build=None)
+
+# checks on a phase path lifted from the run, which needs the uniform RK4 grid
+_PATH_CHECKS = ("action-stationarity", "gauge-invariance")
 
 
 # --- config loading -------------------------------------------------------------
@@ -144,6 +147,9 @@ class Run:
         for i, chk in enumerate(self.checks):
             if not isinstance(chk, dict) or "type" not in chk:
                 raise ConfigError("each check needs a 'type'", f"checks[{i}]")
+            if chk["type"] in _PATH_CHECKS and self.cfg.method != "rk4":
+                raise ConfigError(f"{chk['type']} needs the uniform time grid of an rk4 run",
+                                  f"checks[{i}]")
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
         """Extended-phase-space run from the on-surface lift of (q0, v0)."""
@@ -220,6 +226,18 @@ def write_reports(path: str, run: Run, records: list):
 
 # --- checks -------------------------------------------------------------------------
 
+def _grid_path(run: Run, traj: integrate.Trajectory):
+    """On-shell lift of the uniform-grid samples; a located event sample lies off the grid."""
+    N = len(traj.times)
+    if traj.termination.kind == "event" and N > 1:
+        N -= 1
+    if N < 5:  # the fewest samples the path functionals take
+        raise NonholoError(f"path checks need at least 5 uniform-grid samples; "
+                           f"the {traj.termination.kind} run has {N}")
+    return lift_on_shell(replace(traj, times=traj.times[:N], q=traj.q[:N], v=traj.v[:N]),
+                         run.e0)
+
+
 def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
     kind = chk["type"]
     tol = float(chk.get("tolerance", 1e-8))
@@ -251,14 +269,12 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
                    passed=dev <= tol and resid <= 1e-9)
         return rec
     if kind == "action-stationarity":
-        path = lift_on_shell(traj, run.e0)
-        report = action.stationarity_check(run.spec, path,
-                                           float(chk.get("perturbation_scale", 1e-6)),
-                                           C=float(chk.get("C", 50.0)))
+        path = _grid_path(run, traj)
+        report = action.stationarity_check(run.spec, path, C=float(chk.get("C", 50.0)))
         rec.update(asdict(report))
         return rec
     if kind == "gauge-invariance":
-        path = lift_on_shell(traj, run.e0)
+        path = _grid_path(run, traj)
         profile = bump(path.times)
         amp = float(chk.get("offshell_amplitude", 0.05))
         # perturb off-shell so the transformation is non-trivial

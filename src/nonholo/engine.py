@@ -1,8 +1,9 @@
 """Lagrange-d'Alembert force assembly.
 
-Given masses, a base force (potential gradient or explicit components) and a
-set of velocity-dependent scalar constraints D_a(q, v) = 0, the multipliers
-h_a are fixed by demanding dD_a/dt = 0 along the motion:
+Given masses, a base force f0(q, v, t) (explicit components; ``make_system``
+turns a potential V into the components -dV/dq_i) and a set of
+velocity-dependent scalar constraints D_a(q, v) = 0, the multipliers h_a are
+fixed by demanding dD_a/dt = 0 along the motion:
 
     sum_b M_ab h_b = b_a,
     M_ab = sum_i (dD_a/dv_i)(dD_b/dv_i)/m_i,
@@ -26,7 +27,7 @@ import numpy as np
 from . import expr as _expr
 from .dual import value
 from .errors import NoConvergence, RegularityError
-from .expr import EvalPoint, Expr
+from .expr import EvalPoint, Expr, Unary
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,10 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Dynamical problem: dimension, diagonal masses, base force, constraints."""
+    """Dynamical problem: dimension, diagonal masses, base force f0_i (None: zero), constraints."""
 
     n: int
     mass: tuple[float, ...]
-    potential: Expr | None = None
     forces: tuple[Expr, ...] | None = None
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
 
@@ -55,8 +55,6 @@ class SystemSpec:
             raise ValueError("mass vector length must equal dimension")
         if any(m <= 0 for m in self.mass):
             raise ValueError("all masses must be positive")
-        if self.potential is not None and self.forces is not None:
-            raise ValueError("give either a potential or explicit forces, not both")
         if self.forces is not None and len(self.forces) != self.n:
             raise ValueError("explicit force list length must equal dimension")
 
@@ -69,11 +67,17 @@ def make_system(
     constraints=(),
     eps_reg: float = 1e-10,
 ) -> SystemSpec:
-    """Parse string expressions into a SystemSpec."""
-    pot = _expr.parse_expression(potential, n) if potential is not None else None
-    fs = tuple(_expr.parse_expression(f, n) for f in forces) if forces is not None else None
+    """Parse string expressions into a SystemSpec; a potential V becomes the forces -dV/dq_i."""
+    if potential is not None:
+        if forces is not None:
+            raise ValueError("give either a potential or explicit forces, not both")
+        pot = _expr.parse_expression(potential, n).root
+        # unfolded negation: a q_i that V lacks gives -0.0, as negating its zero partial does
+        fs = tuple(Expr(Unary("neg", _expr._derivative(pot, "q", i)), n) for i in range(1, n + 1))
+    else:
+        fs = tuple(_expr.parse_expression(f, n) for f in forces) if forces is not None else None
     cs = ConstraintSet(tuple(_expr.parse_expression(c, n) for c in constraints), eps_reg)
-    return SystemSpec(n=n, mass=tuple(float(m) for m in masses), potential=pot, forces=fs, constraints=cs)
+    return SystemSpec(n=n, mass=tuple(float(m) for m in masses), forces=fs, constraints=cs)
 
 
 @dataclass(frozen=True)
@@ -86,12 +90,9 @@ class MultiplierResult:
 # --- raw evaluation (floats or duals) ---------------------------------------
 
 def base_force_raw(spec: SystemSpec, q, v, t):
-    if spec.forces is not None:
-        return [f._fn(q, v, t) for f in spec.forces]
-    if spec.potential is not None:
-        dq, _, _ = _expr.grad_raw(spec.potential, q, v, t)
-        return [-g for g in dq]
-    return [0.0] * spec.n
+    if spec.forces is None:
+        return [0.0] * spec.n
+    return [f._fn(q, v, t) for f in spec.forces]
 
 
 def _solve_linear(a, b):
@@ -125,9 +126,6 @@ def _solve_linear(a, b):
 
 
 def _gram_min_eig(gram) -> float:
-    m = len(gram)
-    if m == 1:
-        return value(gram[0][0])
     mat = np.array([[value(x) for x in row] for row in gram], dtype=float)
     return float(np.linalg.eigvalsh(mat).min())
 
@@ -214,18 +212,9 @@ def acceleration_raw(spec: SystemSpec, q, v, t):
 
 def _base_force_jacobian(spec: SystemSpec, q, v, t):
     """rows[i][x] = df0_i/dx over the directions x = q_1..q_n, v_1..v_n."""
-    n = spec.n
-    rows = [[0.0] * (2 * n) for _ in range(n)]
-    if spec.forces is not None:
-        for i, f in enumerate(spec.forces):
-            dq, dv, _ = _expr.grad_raw(f, q, v, t)
-            rows[i] = dq + dv
-    elif spec.potential is not None:
-        for kind, index, dpot in _expr.partial_exprs(spec.potential):
-            if kind == "q":  # f0_i = -dV/dq_i
-                dq, dv, _ = _expr.grad_raw(dpot, q, v, t)
-                rows[index - 1] = [-d for d in dq + dv]
-    return rows
+    if spec.forces is None:
+        return [[0.0] * (2 * spec.n) for _ in range(spec.n)]
+    return [dq + dv for dq, dv, _ in (_expr.grad_raw(f, q, v, t) for f in spec.forces)]
 
 
 def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
@@ -238,7 +227,7 @@ def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
         hdot = G^-1 (bdot - Gdot h),
         Fdot_i = (f0dot_i + sum_a hdot_a g_ai + h_a gdot_ai)/m_i,
 
-    with the second partials of D_a and of the base force from
+    with the partials of the base force and the second partials of D_a from
     ``expr.partial_exprs``.  One float ``_constraint_solve`` (with its Gram
     regularity check) serves F and the Jacobians; for m >= 2 the Gram matrix
     is factorised once for all directions.

@@ -3,11 +3,11 @@
 Grammar over variables q1..qn, v1..vn and t, with +, -, *, /, ^ and the
 unary functions sin, cos, tan, exp, log, sqrt, abs.  Parsed trees are
 immutable; evaluation and differentiation are pure.  Derivatives are exact:
-``grad_raw`` evaluates compiled symbolic partials, one per variable that
-actually occurs, and ``grad_raw`` of an entry of ``partial_exprs`` is a row
-of second partials (the force Jacobians in ``engine`` are built from these).
-The compiled functions also accept dual numbers, which serve only the
-Poisson brackets (see ``hamiltonian``).
+partials of any order are ``Expr``s, one per occurring variable, built by
+``partial_exprs`` on first use and each compiled once.  ``grad_raw`` evaluates
+them, and ``grad_raw`` of an entry is a row of second partials (the force
+Jacobians in ``engine``).  The compiled functions also accept dual numbers,
+which serve only the Poisson brackets (see ``hamiltonian``).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class EvalPoint:
 class Expr:
     """Parsed expression: AST plus a compiled evaluator and free-variable set."""
 
-    __slots__ = ("root", "n", "free", "_fn", "_partials", "_partial_exprs")
+    __slots__ = ("root", "n", "free", "_fn", "_partials")
 
     def __init__(self, root: Node, n: int):
         self.root = root
@@ -76,12 +76,7 @@ class Expr:
         _collect_free(root, free)
         self.free = frozenset(free)
         self._fn = _compile(root)
-        # one compiled symbolic partial per occurring variable
-        self._partials = tuple(
-            (kind, index, _compile(_derivative(root, kind, index)))
-            for kind, index in self.free
-        )
-        self._partial_exprs = None  # built by partial_exprs on first use
+        self._partials = None  # built by partial_exprs on first use
 
     def __repr__(self):
         return f"Expr({to_canonical(self.root)!r}, n={self.n})"
@@ -400,7 +395,7 @@ def evaluate(expr: Expr, pt: EvalPoint) -> float:
 # Compiled partials pay (lda_nonlinear constraint, 2-core host, Python 3.11.7): 2.3 us per
 # gradient against 6.8 us dual-seeded, 5.5 us per acceleration_raw.
 def grad_raw(expr: Expr, q, v, t):
-    """(dq, dv, dt) partials on raw sequences via compiled symbolic partials.
+    """(dq, dv, dt) partials on raw sequences, from the ``partial_exprs`` entries.
 
     Entries of q/v may themselves be duals (the Poisson brackets seed them);
     the partials are then duals too.
@@ -408,8 +403,8 @@ def grad_raw(expr: Expr, q, v, t):
     dq = [0.0] * len(q)
     dv = [0.0] * len(v)
     dt = 0.0
-    for kind, index, fn in expr._partials:
-        val = fn(q, v, t)
+    for kind, index, d in expr._partials or partial_exprs(expr):
+        val = d._fn(q, v, t)
         if kind == "q":
             dq[index - 1] = val
         elif kind == "v":
@@ -422,16 +417,17 @@ def grad_raw(expr: Expr, q, v, t):
 def partial_exprs(expr: Expr):
     """((kind, index, Expr of d expr/d var), ...) per occurring variable.
 
-    Built on the first call and kept on *expr*, so parsing pays nothing for
-    it.  ``grad_raw`` of an entry gives the second partials of *expr* with
-    respect to that variable and each q_i, v_i and t.
+    Built on the first call and kept on *expr*, so parsing compiles only
+    ``expr`` itself and no derivative tree is compiled twice.  ``grad_raw``
+    of an entry gives the second partials of *expr* with respect to that
+    variable and each q_i, v_i and t.
     """
-    if expr._partial_exprs is None:
-        expr._partial_exprs = tuple(
+    if expr._partials is None:
+        expr._partials = tuple(
             (kind, index, Expr(_derivative(expr.root, kind, index), expr.n))
-            for kind, index, _ in expr._partials
+            for kind, index in expr.free
         )
-    return expr._partial_exprs
+    return expr._partials
 
 
 def grad(expr: Expr, pt: EvalPoint):

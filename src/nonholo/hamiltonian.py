@@ -45,14 +45,6 @@ class ExtendedPhasePoint:
         return len(self.q)
 
 
-@dataclass(frozen=True)
-class GaugeInput:
-    """Gauge parameter alpha(t) and multiplier profile mu_e(t) on a path grid."""
-
-    alpha: np.ndarray
-    mu_e: np.ndarray | None = None
-
-
 def pack(z: ExtendedPhasePoint) -> list:
     """Flat layout [q, p, v, pi, e, pi_e]."""
     return [*z.q, *z.p, *z.v, *z.pi, z.e, z.pi_e]
@@ -169,13 +161,14 @@ def poisson_bracket(f, g, z: ExtendedPhasePoint) -> float:
     return acc
 
 
-def gauge_transform(path: PhasePath, gauge: GaugeInput) -> PhasePath:
-    """Apply the local symmetry: shift e, p and mu_e; q, v, pi, pi_e unchanged.
+def gauge_transform(path: PhasePath, alpha: np.ndarray) -> PhasePath:
+    """Apply the local symmetry with gauge parameter alpha(t) on the path grid:
+    shift e, p and mu_e; q, v, pi, pi_e unchanged.
 
     de = alpha*(1 - v.qd/v^2), dp = alpha * pi^2/(2 e^2 v^2) * v,
     dmu_e = d(de)/dt with the same stencil used for time derivatives elsewhere.
     """
-    alpha = np.asarray(gauge.alpha, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != path.times.shape:
         raise ValueError("alpha must be sampled on the path grid")
     v2 = np.sum(path.v * path.v, axis=1)
@@ -186,5 +179,4 @@ def gauge_transform(path: PhasePath, gauge: GaugeInput) -> PhasePath:
     de = alpha * (1.0 - np.sum(path.v * qd, axis=1) / v2)
     dp = (alpha * pi2 / (2.0 * path.e ** 2 * v2))[:, None] * path.v
     dmu = diff1(de, path.dt)
-    mu_base = path.mu_e if gauge.mu_e is None else np.asarray(gauge.mu_e, dtype=float)
-    return path.replace(e=path.e + de, p=path.p + dp, mu_e=mu_base + dmu)
+    return path.replace(e=path.e + de, p=path.p + dp, mu_e=path.mu_e + dmu)

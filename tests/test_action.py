@@ -143,24 +143,23 @@ class TestFirstOrderAction:
 class TestStationarity:
     def test_solution_path_is_stationary(self, linear_sleigh_path):
         spec, path = linear_sleigh_path
-        rep = stationarity_check(spec, path, perturbation_scale=1e-4)
+        rep = stationarity_check(spec, path)
         assert rep.passed
         assert rep.max_gradient <= rep.threshold
 
     def test_generic_path_is_not_stationary(self, linear_sleigh_path):
         spec, path = linear_sleigh_path
         skew = path.replace(q=path.q + 0.5 * np.sin(3.0 * path.times)[:, None])
-        rep = stationarity_check(spec, skew, perturbation_scale=1e-4)
+        rep = stationarity_check(spec, skew)
         assert not rep.passed
-        on = stationarity_check(spec, path, perturbation_scale=1e-4)
+        on = stationarity_check(spec, path)
         assert rep.max_gradient >= 100.0 * max(on.max_gradient, 1e-12)
 
     def test_gradient_shrinks_with_dt(self):
         reports = []
         for dt in (0.02, 0.01):
             spec, traj = sleigh_run(dt=dt, t_end=0.5)
-            rep = stationarity_check(spec, lift_on_shell(traj),
-                                     perturbation_scale=1e-5)
+            rep = stationarity_check(spec, lift_on_shell(traj))
             reports.append(rep)
         assert reports[1].max_gradient < reports[0].max_gradient
 
@@ -222,7 +221,7 @@ class TestSampleSpans:
             rel = 1e-10
         # first maximum in (sample, block, component) order, as the check reports it
         k = int(np.argmax(np.abs(grad)))
-        rep = stationarity_check(spec, path, perturbation_scale=eps)
+        rep = stationarity_check(spec, path)
         assert rep.max_gradient == pytest.approx(abs(grad.flat[k]), rel=rel)
         assert (rep.worst_block, rep.worst_sample) == (columns[k % len(columns)],
                                                        1 + k // len(columns))
@@ -242,14 +241,14 @@ class TestSampleSpans:
         monkeypatch.setattr(action, "_integrand_at", counted("integrand", action._integrand_at))
         n = 2
         spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])
-        stationarity_check(spec, constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1), 1e-4)
+        stationarity_check(spec, constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1))
         assert calls == {"jacobian": N, "integrand": 0}
 
     def test_nan_entry_fails_the_check(self, linear_sleigh_path):
         spec, path = linear_sleigh_path
         p = path.p.copy()
         p[40, 0] = np.nan
-        rep = stationarity_check(spec, path.replace(p=p), perturbation_scale=1e-4)
+        rep = stationarity_check(spec, path.replace(p=p))
         assert rep.passed is False
         assert math.isnan(rep.max_gradient)
 

@@ -145,6 +145,13 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", str(path)]) == 0
 
+    def test_potential_with_forces_exits_two(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, system={"n": 1, "masses": [1.0], "potential": "q1^2/2",
+                                            "forces": ["-q1"]},
+                          initial={"q0": [1.0], "v0": [0.0]})
+        assert main(["simulate", cfg]) == 2
+        assert "system" in capsys.readouterr().err
+
 
 class TestHamiltonian:
     def test_on_surface_run(self, tmp_path, capsys):
@@ -183,15 +190,43 @@ class TestVerify:
     def test_stationarity_check(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         cfg = base_config(tmp_path,
-                          checks=[{"type": "action-stationarity",
-                                   "perturbation_scale": 1e-5}],
+                          checks=[{"type": "action-stationarity"}],
                           outputs={"report_json": str(report)})
         assert main(["verify", cfg]) == 0
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert rec["passed"] is True
-        assert rec["perturbation_scale"] == 1e-5
         assert rec["worst_block"] in ("q", "p", "v", "pi", "e", "pi_e", "mu_e")
         assert 0 < rec["worst_sample"] < 100
+
+    def test_path_checks_on_an_event_run_use_the_grid_samples(self, tmp_path):
+        # the run stops at the drift event near t = 1.518, between grid points
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, system={"scenario": "lda_nonlinear"},
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 2.0},
+                          checks=[{"type": "action-stationarity"},
+                                  {"type": "gauge-invariance"}],
+                          outputs={"report_json": str(report)})
+        assert main(["verify", cfg]) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [r["passed"] for r in records] == [True, True]
+        assert all(r["dt"] == pytest.approx(0.01, rel=1e-12) for r in records)
+
+    @pytest.mark.parametrize("check", ["action-stationarity", "gauge-invariance"])
+    def test_path_checks_on_rkf45_exit_two(self, tmp_path, capsys, check):
+        cfg = base_config(tmp_path, integrator={"method": "rkf45", "dt": 0.01, "t_end": 0.5},
+                          checks=[{"type": "drift"}, {"type": check}])
+        assert main(["verify", cfg]) == 2
+        assert "checks[1]" in capsys.readouterr().err
+
+    def test_too_few_grid_samples_exit_three(self, tmp_path, capsys):
+        # any drift ends the run at its first step, leaving one grid sample
+        cfg = base_config(tmp_path, system={"scenario": "lda_nonlinear"},
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 2.0,
+                                      "drift_tolerance": 1e-300},
+                          checks=[{"type": "action-stationarity"}])
+        assert main(["verify", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "at least 5 uniform-grid samples" in err and "Traceback" not in err
 
     def test_nan_force_exits_three(self, tmp_path, capsys):
         force = "exp(700)*exp(700)*q1 - exp(700)*exp(700)*q1"

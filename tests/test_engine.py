@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import potential_t_system
 from nonholo.engine import (
-    SystemSpec,
+    base_force_raw,
     compute_multipliers,
     make_system,
     total_acceleration,
@@ -153,10 +154,22 @@ class TestSpecValidation:
             make_system(1, (0.0,))
 
     def test_potential_and_forces_exclusive(self):
-        pot = parse_expression("q1^2", 1)
-        frc = (parse_expression("q1", 1),)
         with pytest.raises(ValueError):
-            SystemSpec(n=1, mass=(1.0,), potential=pot, forces=frc)
+            make_system(1, (1.0,), potential="q1^2", forces=("q1",))
+
+    def test_potential_forces_match_the_negated_gradient(self):
+        # the forces -dV/dq_i give F = -grad V bit for bit, -0.0 where V lacks q_i
+        lacks_q2 = "q1*q3 + sin(t)"
+        cases = ((potential_t_system(), "q1^2/2 + cos(q2)*q3 + q1*q2^3"),
+                 (make_system(3, (1.0, 1.0, 1.0), potential=lacks_q2), lacks_q2))
+        rng = np.random.default_rng(5)
+        for spec, source in cases:
+            pot = parse_expression(source, 3)
+            for _ in range(200):
+                q, v = rng.uniform(-2, 2, 3).tolist(), rng.uniform(-2, 2, 3).tolist()
+                t = float(rng.uniform(0, 5))
+                expected = [(-g).hex() for g in grad_raw(pot, q, v, t)[0]]
+                assert [f.hex() for f in base_force_raw(spec, q, v, t)] == expected
 
     def test_potential_gradient_force(self):
         spec = make_system(2, (1.0, 4.0), potential="q1^2 + 3*q2")

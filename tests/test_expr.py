@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonholo import engine
+from nonholo import expr as expr_module
 from nonholo.errors import ExprDomainError, ExprSyntaxError
 from nonholo.expr import (Binary, Const, EvalPoint, Unary, Var, canonical,
                           evaluate, grad, grad_raw, parse_expression, partial_exprs)
+from nonholo.scenarios import SleighParams, build_sleigh_spec
 
 
 class TestParse:
@@ -196,8 +199,34 @@ class TestSecondPartials:
 
     def test_built_on_first_use_only(self):
         e = parse_expression("v1*sin(q1)", 1)
-        assert e._partial_exprs is None  # parsing does not pay for them
+        assert e._partials is None  # parsing does not pay for them
         assert partial_exprs(e) is partial_exprs(e)
+
+    def test_each_tree_compiled_once(self, monkeypatch):
+        # parsing compiles the expression only; each partial is compiled on first use
+        compiled = []
+        compile_ = expr_module._compile
+
+        def counted(node):
+            compiled.append(node)
+            return compile_(node)
+        monkeypatch.setattr(expr_module, "_compile", counted)
+        e = parse_expression("v2/v1 - tan(q3)", 3)
+        assert len(compiled) == 1
+        q, v = (0.1, 0.2, 0.3), (1.0, 0.5, 0.2)
+        grad_raw(e, q, v, 0.0)
+        assert len(compiled) == 4
+        grad_raw(e, q, v, 0.0)
+        assert len(compiled) == 4
+
+        spec = build_sleigh_spec("lda_nonlinear", SleighParams())
+        engine.acceleration_raw(spec, q, v, 0.0)
+        del compiled[:]
+        engine.acceleration_jacobian_raw(spec, q, v, 0.0)
+        engine.acceleration_jacobian_raw(spec, q, v, 0.0)
+        (con,) = spec.constraints.exprs
+        second = [d2.root for _, _, d1 in partial_exprs(con) for _, _, d2 in partial_exprs(d1)]
+        assert compiled == second
 
     def test_abs_second_derivative_is_zero(self):
         # d/dq1 abs(q1) is sgn(q1), which is piecewise constant

@@ -12,7 +12,6 @@ from nonholo.engine import make_system
 from nonholo.errors import ExprDomainError, RegularityError, VanishingVelocity
 from nonholo.hamiltonian import (
     ExtendedPhasePoint,
-    GaugeInput,
     constraint_surface_residual,
     force_jacobians,
     gauge_transform,
@@ -256,7 +255,7 @@ def straight_line_path(n_steps=200, dt=0.01, v=(1.0, 0.5)):
 class TestGaugeTransform:
     def test_identity_when_alpha_zero(self):
         path = straight_line_path()
-        out = gauge_transform(path, GaugeInput(alpha=np.zeros_like(path.times)))
+        out = gauge_transform(path, np.zeros_like(path.times))
         assert np.array_equal(out.e, path.e)
         assert np.array_equal(out.p, path.p)
         assert np.array_equal(out.mu_e, path.mu_e)
@@ -265,7 +264,7 @@ class TestGaugeTransform:
         # on a path with qd = v the factor (1 - v.qd/v^2) vanishes
         path = straight_line_path()
         alpha = np.sin(path.times)
-        out = gauge_transform(path, GaugeInput(alpha=alpha))
+        out = gauge_transform(path, alpha)
         assert np.max(np.abs(out.e - path.e)) <= 1e-10
         # pi = 0 on this path, so dp = 0 as well
         assert np.max(np.abs(out.p - path.p)) == 0.0
@@ -275,7 +274,7 @@ class TestGaugeTransform:
         # bend the velocities so the shift is nontrivial
         path = path.replace(v=path.v + 0.3 * np.cos(path.times)[:, None],
                             pi=path.pi + 0.2)
-        out = gauge_transform(path, GaugeInput(alpha=np.cos(path.times)))
+        out = gauge_transform(path, np.cos(path.times))
         assert np.array_equal(out.q, path.q)
         assert np.array_equal(out.v, path.v)
         assert np.array_equal(out.pi, path.pi)
@@ -286,9 +285,9 @@ class TestGaugeTransform:
     def test_vanishing_velocity_rejected(self):
         path = straight_line_path(v=(0.0, 0.0))
         with pytest.raises(VanishingVelocity):
-            gauge_transform(path, GaugeInput(alpha=np.ones_like(path.times)))
+            gauge_transform(path, np.ones_like(path.times))
 
     def test_alpha_grid_mismatch(self):
         path = straight_line_path()
         with pytest.raises(ValueError):
-            gauge_transform(path, GaugeInput(alpha=np.zeros(3)))
+            gauge_transform(path, np.zeros(3))
