@@ -10,8 +10,8 @@ Two functionals are evaluated with matched second-order discretizations
 
 Both evaluate over the whole path, F(q, v, t) once per sample.  The
 stationarity check takes the gradient of the discrete first-order action in
-closed form, the discrete Euler-Lagrange expression, from F and its Jacobians
-at each sample.
+closed form: the discrete Hamilton equations, read off the flow of H
+(``hamiltonian.hamiltonian_vector_field``) at each sample.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, hamiltonian
 from .engine import SystemSpec
 from .errors import ExprDomainError
-from .hamiltonian import gauge_transform
 from .paths import ConfigPath, PhasePath, diff1, diff1_adjoint, diff2, trapezoid_weights
 
 
@@ -35,11 +34,6 @@ def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", a, b)
-
-
-def _check_e(e: np.ndarray):
-    if np.any(e == 0.0):
-        raise ExprDomainError("auxiliary variable e is zero along the path")
 
 
 def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) -> float:
@@ -60,7 +54,8 @@ def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) 
 def _integrand_at(path: PhasePath, forces: np.ndarray) -> np.ndarray:
     """First-order action integrand at every sample, given F there."""
     p, v, pi, e, pi_e = path.p, path.v, path.pi, path.e, path.pi_e
-    _check_e(e)
+    if np.any(e == 0.0):
+        raise ExprDomainError("auxiliary variable e is zero along the path")
     qd = diff1(path.q, path.dt)
     vd = diff1(v, path.dt)
     ed = diff1(e, path.dt)
@@ -68,12 +63,15 @@ def _integrand_at(path: PhasePath, forces: np.ndarray) -> np.ndarray:
             - _rowdot(pi, forces) - _rowdot(v, p) - path.mu_e * pi_e)
 
 
-def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
+def _first_order_sum(path: PhasePath, forces: np.ndarray) -> float:
+    """The first-order action, given F at every sample."""
     if len(path.times) < 5:
         raise ValueError("need at least 5 samples")
-    forces = _forces(spec, path.q, path.v, path.times)
-    density = _integrand_at(path, forces)
-    return float(trapezoid_weights(len(path.times), path.dt) @ density)
+    return float(trapezoid_weights(len(path.times), path.dt) @ _integrand_at(path, forces))
+
+
+def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
+    return _first_order_sum(path, _forces(spec, path.q, path.v, path.times))
 
 
 @dataclass
@@ -91,29 +89,26 @@ def stationarity_check(spec: SystemSpec, path: PhasePath, C: float = 50.0) -> St
     every interior sample coordinate x; near-solutions score at the
     discretization floor C*dt^2, generic paths at O(1).
 
-    The gradient is the discrete Euler-Lagrange expression in closed form
-    (D = diff1, D^T = diff1_adjoint), the eps -> 0 limit of central differences
-    of S with step eps.
+    The gradient is the discrete Hamilton equations of the flow of H (D = diff1,
+    D^T = diff1_adjoint), the eps -> 0 limit of central differences of S with
+    step eps: for each canonical pair (x, y), dS/dx = D^T(w y) + w yd_H and
+    dS/dy = w (D x - xd_H), plus dS/dmu_e = -w pi_e.
     """
-    q, p, v, pi = path.q, path.p, path.v, path.pi
-    e, pi_e, mu_e, dt = path.e, path.pi_e, path.mu_e, path.dt
-    rows = [engine.acceleration_jacobian_raw(spec, q[k], v[k], float(path.times[k]))
-            for k in range(len(path.times))]
-    forces, dfdq, dfdv = (np.array(block) for block in zip(*rows))
-    _check_e(e)
-    w = trapezoid_weights(len(path.times), dt)
-    wn = w[:, None]
-    blocks = {
-        "q": diff1_adjoint(wn * p, dt) - wn * np.einsum("kj,kji->ki", pi, dfdq),
-        "p": wn * (diff1(q, dt) - v),
-        "v": diff1_adjoint(wn * pi, dt) - wn * (np.einsum("kj,kji->ki", pi, dfdv) + p),
-        "pi": wn * (diff1(v, dt) - pi / e[:, None] - forces),
-        "e": diff1_adjoint(w * pi_e, dt) + w * _rowdot(pi, pi) / (2.0 * e * e),
-        "pi_e": w * (diff1(e, dt) - mu_e),
-        "mu_e": -w * pi_e,
-    }
-    columns = [name for name, g in blocks.items() for _ in range(np.size(g[0]))]
-    grads = np.abs(np.column_stack(list(blocks.values()))[1:-1])  # interior samples
+    n, dt = path.n, path.dt
+    state = np.column_stack([path.q, path.p, path.v, path.pi, path.e, path.pi_e])
+    flow = np.array([hamiltonian.hamiltonian_vector_field(spec, hamiltonian.unpack(y, n), mu_e, t)
+                     for y, mu_e, t in zip(state.tolist(), path.mu_e.tolist(),
+                                           path.times.tolist())])
+    w = trapezoid_weights(len(path.times), dt)[:, None]
+    blocks = {}
+    for x_name, y_name, a, size in (("q", "p", 0, n), ("v", "pi", 2 * n, n),
+                                    ("e", "pi_e", 4 * n, 1)):
+        x, y = slice(a, a + size), slice(a + size, a + 2 * size)
+        blocks[x_name] = diff1_adjoint(w * state[:, y], dt) + w * flow[:, y]
+        blocks[y_name] = w * (diff1(state[:, x], dt) - flow[:, x])
+    blocks["mu_e"] = -w * path.pi_e[:, None]
+    columns = [name for name, g in blocks.items() for _ in range(g.shape[1])]
+    grads = np.abs(np.hstack(list(blocks.values()))[1:-1])  # interior samples
     # first maximum in (sample, block, component) order; a NaN wins and fails the check
     k = int(np.argmax(grads))
     max_grad = float(grads.flat[k])
@@ -141,15 +136,17 @@ def gauge_invariance_check(spec: SystemSpec, path: PhasePath, alpha_profile: np.
                            alpha_amplitude: float, C: float = 10.0) -> GaugeReport:
     """Measure dS = S_H(transformed) - S_H for amplitudes a*{1, 1/2, 1/4} and
     fit dS = A*a + B*a^2; first-order invariance means |A| at the
-    discretization floor C*dt^2.
+    discretization floor C*dt^2.  The transformation leaves q, v and the grid
+    alone, so F is evaluated once for all four actions.
     """
     alpha_profile = np.asarray(alpha_profile, dtype=float)
-    base = first_order_action(spec, path)
+    forces = _forces(spec, path.q, path.v, path.times)
+    base = _first_order_sum(path, forces)
     amplitudes = [alpha_amplitude, alpha_amplitude / 2.0, alpha_amplitude / 4.0]
     deltas = []
     for a in amplitudes:
-        transformed = gauge_transform(path, a * alpha_profile)
-        deltas.append(first_order_action(spec, transformed) - base)
+        transformed = hamiltonian.gauge_transform(path, a * alpha_profile)
+        deltas.append(_first_order_sum(transformed, forces) - base)
     design = np.column_stack([amplitudes, np.square(amplitudes)])
     coeffs, *_ = np.linalg.lstsq(design, np.asarray(deltas), rcond=None)
     A, B = float(coeffs[0]), float(coeffs[1])

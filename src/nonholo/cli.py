@@ -32,8 +32,11 @@ FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
 # inline systems: no default initial state, no guards, no reference solution
 _INLINE = Scenario(build=None)
 
-# checks on a phase path lifted from the run, which needs the uniform RK4 grid
-_PATH_CHECKS = ("action-stationarity", "gauge-invariance")
+_CHECK_TYPES = ("drift", "analytic-compare", "hamiltonian-equivalence", "action-stationarity",
+               "gauge-invariance")
+# checks that compare samples on the uniform RK4 grid: the path checks lift the run
+# to a phase path, hamiltonian-equivalence matches the two runs sample by sample
+_GRID_CHECKS = ("hamiltonian-equivalence", "action-stationarity", "gauge-invariance")
 
 
 # --- config loading -------------------------------------------------------------
@@ -147,8 +150,13 @@ class Run:
         for i, chk in enumerate(self.checks):
             if not isinstance(chk, dict) or "type" not in chk:
                 raise ConfigError("each check needs a 'type'", f"checks[{i}]")
-            if chk["type"] in _PATH_CHECKS and self.cfg.method != "rk4":
+            if chk["type"] not in _CHECK_TYPES:
+                raise ConfigError(f"unknown check type {chk['type']!r}", f"checks[{i}]")
+            if chk["type"] in _GRID_CHECKS and self.cfg.method != "rk4":
                 raise ConfigError(f"{chk['type']} needs the uniform time grid of an rk4 run",
+                                  f"checks[{i}]")
+            if chk["type"] == "analytic-compare" and self.scenario.reference is None:
+                raise ConfigError("analytic-compare needs an lda_*/friction scenario",
                                   f"checks[{i}]")
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
@@ -226,11 +234,15 @@ def write_reports(path: str, run: Run, records: list):
 
 # --- checks -------------------------------------------------------------------------
 
-def _grid_path(run: Run, traj: integrate.Trajectory):
-    """On-shell lift of the uniform-grid samples; a located event sample lies off the grid."""
+def _grid_samples(traj) -> int:
+    """Number of uniform-grid samples of an RK4 run; a located event sample lies off the grid."""
     N = len(traj.times)
-    if traj.termination.kind == "event" and N > 1:
-        N -= 1
+    return N - 1 if traj.termination.kind == "event" and N > 1 else N
+
+
+def _grid_path(run: Run, traj: integrate.Trajectory):
+    """On-shell lift of the uniform-grid samples."""
+    N = _grid_samples(traj)
     if N < 5:  # the fewest samples the path functionals take
         raise NonholoError(f"path checks need at least 5 uniform-grid samples; "
                            f"the {traj.termination.kind} run has {N}")
@@ -248,8 +260,6 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         return rec
     if kind == "analytic-compare":
         scenario, params = run.scenario, run.params
-        if scenario.reference is None:
-            raise ConfigError("analytic-compare needs an lda_*/friction scenario", "checks")
         ref = np.array([scenario.reference(params, t) for t in traj.times])
         dev = float(np.max(np.abs(traj.q - ref)))
         rec.update(reference="circle", max_deviation=dev, passed=dev <= tol)
@@ -261,7 +271,7 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         return rec
     if kind == "hamiltonian-equivalence":
         ham = run.hamiltonian_run()
-        N = min(len(traj.times), len(ham.times))
+        N = min(_grid_samples(traj), _grid_samples(ham))
         dev = max(float(np.max(np.abs(ham.q[:N] - traj.q[:N]))),
                   float(np.max(np.abs(ham.v[:N] - traj.v[:N]))))
         resid = float(np.max(ham.surface_residual))
@@ -273,19 +283,17 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         report = action.stationarity_check(run.spec, path, C=float(chk.get("C", 50.0)))
         rec.update(asdict(report))
         return rec
-    if kind == "gauge-invariance":
-        path = _grid_path(run, traj)
-        profile = bump(path.times)
-        amp = float(chk.get("offshell_amplitude", 0.05))
-        # perturb off-shell so the transformation is non-trivial
-        path = path.replace(pi=path.pi + amp * profile[:, None],
-                            p=path.p + amp * profile[:, None])
-        report = action.gauge_invariance_check(run.spec, path, profile,
-                                               float(chk.get("alpha_amplitude", 1e-2)),
-                                               C=float(chk.get("C", 10.0)))
-        rec.update(asdict(report))
-        return rec
-    raise ConfigError(f"unknown check type {kind!r}", "checks")
+    # gauge-invariance: Run admits no kind outside _CHECK_TYPES
+    path = _grid_path(run, traj)
+    profile = bump(path.times)
+    amp = float(chk.get("offshell_amplitude", 0.05))
+    # perturb off-shell so the transformation is non-trivial
+    path = path.replace(pi=path.pi + amp * profile[:, None], p=path.p + amp * profile[:, None])
+    report = action.gauge_invariance_check(run.spec, path, profile,
+                                           float(chk.get("alpha_amplitude", 1e-2)),
+                                           C=float(chk.get("C", 10.0)))
+    rec.update(asdict(report))
+    return rec
 
 
 # --- subcommands -------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import potential_t_system, sleigh_run, wheel_system
-from nonholo import action, engine
+from nonholo import action, engine, hamiltonian
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -227,22 +227,37 @@ class TestSampleSpans:
                                                        1 + k // len(columns))
 
     @pytest.mark.parametrize("N", [5, 9, 23])
-    def test_one_jacobian_call_per_sample(self, monkeypatch, N):
-        # the gradient is one pass: F and dF once per sample, no action integrand
-        calls = {"jacobian": 0, "integrand": 0}
+    def test_one_flow_call_per_sample(self, monkeypatch, N):
+        # the gradient is one pass over the flow of H, no action integrand; the flow
+        # takes the force Jacobians only where pi != 0
+        calls = {"field": 0, "jacobian": 0, "integrand": 0}
 
-        def counted(name, fn):
+        def counted(module, name, key):
+            fn = getattr(module, name)
+
             def wrapper(*args):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args)
-            return wrapper
-        monkeypatch.setattr(engine, "acceleration_jacobian_raw",
-                            counted("jacobian", engine.acceleration_jacobian_raw))
-        monkeypatch.setattr(action, "_integrand_at", counted("integrand", action._integrand_at))
+            monkeypatch.setattr(module, name, wrapper)
+        counted(hamiltonian, "hamiltonian_vector_field", "field")
+        counted(engine, "acceleration_jacobian_raw", "jacobian")
+        counted(action, "_integrand_at", "integrand")
         n = 2
         spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])
-        stationarity_check(spec, constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1))
-        assert calls == {"jacobian": N, "integrand": 0}
+        path = constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1)
+        stationarity_check(spec, path)
+        assert calls == {"field": N, "jacobian": 0, "integrand": 0}
+        stationarity_check(spec, path.replace(pi=np.ones_like(path.pi)))
+        assert calls == {"field": 2 * N, "jacobian": N, "integrand": 0}
+
+    def test_zero_pi_path_needs_no_force_jacobian(self):
+        # dF/dq does not exist at q1 = 0, but with pi = 0 the flow never asks for it
+        spec = make_system(1, (1.0,), forces=("sqrt(abs(q1))",))
+        path = constant_phase_path(n=1, T=1.0, dt=0.1, v=1.0, e=1.0)
+        rep = stationarity_check(spec, path.replace(q=(path.times - 0.5)[:, None]))
+        # |dS/dpi| = w*|Dv - F| = 0.1*sqrt(|q1|), first largest at |q1| = 0.4
+        assert (rep.worst_block, rep.worst_sample) == ("pi", 1)
+        assert rep.max_gradient == pytest.approx(0.1 * math.sqrt(0.4), rel=1e-15)
 
     def test_nan_entry_fails_the_check(self, linear_sleigh_path):
         spec, path = linear_sleigh_path
@@ -280,6 +295,21 @@ class TestGaugeInvariance:
         spec, path = linear_sleigh_path
         rep = gauge_invariance_check(spec, path, np.ones_like(path.times), 0.1)
         assert "endpoint" in rep.boundary_note
+
+    def test_forces_evaluated_once(self, monkeypatch, linear_sleigh_path):
+        # the transformation leaves q, v and the grid alone: one F pass serves all
+        # four actions
+        spec, path = linear_sleigh_path
+        forces = action._forces
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return forces(*args)
+        monkeypatch.setattr(action, "_forces", counted)
+        off = path.replace(pi=path.pi + 0.1 * bump(path.times)[:, None])
+        gauge_invariance_check(spec, off, bump(path.times), 0.1)
+        assert len(calls) == 1
 
     def test_report_serializes(self, linear_sleigh_path):
         spec, path = linear_sleigh_path

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, config validation, outputs."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -211,7 +213,8 @@ class TestVerify:
         assert [r["passed"] for r in records] == [True, True]
         assert all(r["dt"] == pytest.approx(0.01, rel=1e-12) for r in records)
 
-    @pytest.mark.parametrize("check", ["action-stationarity", "gauge-invariance"])
+    @pytest.mark.parametrize("check", ["hamiltonian-equivalence", "action-stationarity",
+                                       "gauge-invariance"])
     def test_path_checks_on_rkf45_exit_two(self, tmp_path, capsys, check):
         cfg = base_config(tmp_path, integrator={"method": "rkf45", "dt": 0.01, "t_end": 0.5},
                           checks=[{"type": "drift"}, {"type": check}])
@@ -243,6 +246,45 @@ class TestVerify:
                                    "tolerance": 1e-8}])
         assert main(["verify", cfg]) == 0
 
-    def test_unknown_check_type(self, tmp_path):
-        cfg = base_config(tmp_path, checks=[{"type": "nonsense"}])
+    def test_equivalence_on_an_event_run_compares_the_grid_samples(self, tmp_path):
+        # the second-order run stops at the drift event near t = 1.518; its located
+        # sample is not compared with the extended run's grid sample at t = 1.52
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, system={"scenario": "lda_nonlinear"},
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 2.0},
+                          checks=[{"type": "hamiltonian-equivalence"}],
+                          outputs={"report_json": str(report)})
+        assert main(["verify", cfg]) == 0
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rec["max_qv_deviation"] == 0.0 and rec["passed"] is True
+
+    def _rejected_before_the_run(self, tmp_path, capsys, **overrides):
+        csv = tmp_path / "traj.csv"
+        cfg = base_config(tmp_path, outputs={"trajectory_csv": str(csv)}, **overrides)
         assert main(["verify", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert "checks[1]" in err and "PASS" not in out
+        assert not csv.exists()
+
+    def test_unknown_check_type(self, tmp_path, capsys):
+        self._rejected_before_the_run(tmp_path, capsys,
+                                      checks=[{"type": "drift"}, {"type": "drfit"}])
+
+    def test_analytic_compare_on_an_inline_system(self, tmp_path, capsys):
+        self._rejected_before_the_run(
+            tmp_path, capsys, system={"n": 1, "masses": [1], "potential": "q1^2/2"},
+            initial={"q0": [1.0], "v0": [0.0]},
+            checks=[{"type": "drift"}, {"type": "analytic-compare"}])
+
+    def test_readme_example_config_passes(self, tmp_path):
+        # the json block of README.md, with its outputs moved under tmp_path
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        cfg = json.loads(block)
+        cfg["outputs"] = {key: str(tmp_path / name) for key, name in cfg["outputs"].items()}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", str(path)]) == 0
+        records = [json.loads(line)
+                   for line in Path(cfg["outputs"]["report_json"]).read_text().splitlines()]
+        assert [r["passed"] for r in records] == [True] * 5
