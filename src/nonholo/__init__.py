@@ -8,8 +8,8 @@ Chaplygin-sleigh scenarios that exercise all of it.
 
 __version__ = "0.1.0"
 
-from .engine import ConstraintSet, MultiplierResult, SystemSpec, make_system
-from .expr import EvalPoint, Expr, parse_expression
+from .engine import ConstraintSet, SystemSpec, make_system
+from .expr import Expr, parse_expression
 from .hamiltonian import ExtendedPhasePoint
 from .integrate import (ExtendedTrajectory, IntegratorConfig, Termination,
                         Trajectory, integrate_hamiltonian, integrate_second_order)
@@ -18,8 +18,8 @@ from .scenarios import SleighParams, build_sleigh_spec, damped_oscillator_spec
 
 __all__ = [
     "__version__",
-    "ConstraintSet", "MultiplierResult", "SystemSpec", "make_system",
-    "EvalPoint", "Expr", "parse_expression",
+    "ConstraintSet", "SystemSpec", "make_system",
+    "Expr", "parse_expression",
     "ExtendedPhasePoint",
     "ExtendedTrajectory", "IntegratorConfig", "Termination", "Trajectory",
     "integrate_hamiltonian", "integrate_second_order",

@@ -96,7 +96,7 @@ def stationarity_check(spec: SystemSpec, path: PhasePath, C: float = 50.0) -> St
     """
     n, dt = path.n, path.dt
     state = np.column_stack([path.q, path.p, path.v, path.pi, path.e, path.pi_e])
-    flow = np.array([hamiltonian.hamiltonian_vector_field(spec, hamiltonian.unpack(y, n), mu_e, t)
+    flow = np.array([hamiltonian.hamiltonian_vector_field(spec, y, mu_e, t)
                      for y, mu_e, t in zip(state.tolist(), path.mu_e.tolist(),
                                            path.times.tolist())])
     w = trapezoid_weights(len(path.times), dt)[:, None]

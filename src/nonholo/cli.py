@@ -10,9 +10,10 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -32,19 +33,62 @@ FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
 # inline systems: no default initial state, no guards, no reference solution
 _INLINE = Scenario(build=None)
 
-_CHECK_TYPES = ("drift", "analytic-compare", "hamiltonian-equivalence", "action-stationarity",
-               "gauge-invariance")
+# the numeric parameters of each check type, with their defaults; a check holds no other key
+_CHECK_PARAMS = {
+    "drift": {"tolerance": 1e-8},
+    "analytic-compare": {"tolerance": 1e-8},
+    "hamiltonian-equivalence": {"tolerance": 1e-8},
+    "action-stationarity": {"C": 50.0},
+    "gauge-invariance": {"alpha_amplitude": 1e-2, "offshell_amplitude": 0.05, "C": 10.0},
+}
 # checks that compare samples on the uniform RK4 grid: the path checks lift the run
 # to a phase path, hamiltonian-equivalence matches the two runs sample by sample
 _GRID_CHECKS = ("hamiltonian-equivalence", "action-stationarity", "gauge-invariance")
+
+# the keys each config block may hold
+_TOP_KEYS = ("system", "integrator", "initial", "outputs", "checks")
+_SCENARIO_KEYS = ("scenario", "params")
+_INLINE_KEYS = ("n", "masses", "forces", "potential", "constraints", "eps_reg")
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
+_INITIAL_KEYS = ("q0", "v0", "e0", "mu_e", "project")
+_OUTPUT_KEYS = ("trajectory_csv", "report_json")
 
 
 # --- config loading -------------------------------------------------------------
 
 def _require(block: dict, key: str, path: str):
     if key not in block:
-        raise ConfigError("missing required field", f"{path}.{key}")
+        raise ConfigError("missing required field", f"{path}.{key}" if path else key)
     return block[key]
+
+
+def _known_keys(block: dict, allowed: tuple, path: str):
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+
+
+def _block(config: dict, key: str, allowed: tuple | None) -> dict:
+    """config[key] ({} when absent): an object holding only the allowed keys (any if None)."""
+    block = config.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError("expected an object", key)
+    if allowed is not None:
+        _known_keys(block, allowed, key)
+    return block
+
+
+def _finite(val, path: str) -> float:
+    """val as a float; a bool, a non-number or a non-finite number is a config error."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError("expected a number", path)
+    try:
+        out = float(val)
+    except OverflowError:  # an int too large for a float
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError("expected a finite number", path)
+    return out
 
 
 def _number(block: dict, key: str, path: str, default=None):
@@ -52,15 +96,36 @@ def _number(block: dict, key: str, path: str, default=None):
         if default is None:
             raise ConfigError("missing required field", f"{path}.{key}")
         return default
-    val = block[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError("expected a number", f"{path}.{key}")
-    return float(val)
+    return _finite(block[key], f"{path}.{key}")
+
+
+def _numbers(block: dict, key: str, path: str) -> list:
+    vals = _require(block, key, path)
+    if not isinstance(vals, list):
+        raise ConfigError("expected a list of numbers", f"{path}.{key}")
+    return [_finite(x, f"{path}.{key}[{i}]") for i, x in enumerate(vals)]
+
+
+def _expressions(block: dict, key: str, path: str):
+    """The list of expression strings at block[key]; None when absent."""
+    vals = block.get(key)
+    if vals is not None and not (isinstance(vals, list) and all(isinstance(x, str) for x in vals)):
+        raise ConfigError("expected a list of expression strings", f"{path}.{key}")
+    return vals
+
+
+def _typed(block: dict, key: str, path: str, kind: type, default=None):
+    """block[key] (default when absent), which must be None or a kind (str, bool)."""
+    val = block.get(key, default)
+    if val is not None and not isinstance(val, kind):
+        raise ConfigError(f"expected a {kind.__name__}", f"{path}.{key}")
+    return val
 
 
 def _build_system(block: dict) -> tuple:
     """Returns (spec, scenario, sleigh_params_or_None)."""
     if "scenario" in block:
+        _known_keys(block, _SCENARIO_KEYS, "system")
         name = block["scenario"]
         if name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {name!r}", "system.scenario")
@@ -70,22 +135,23 @@ def _build_system(block: dict) -> tuple:
         except (TypeError, ValueError, NonholoError) as exc:
             raise ConfigError(str(exc), "system.params") from exc
         return spec, scenario, params
+    _known_keys(block, _INLINE_KEYS, "system")
     n = _require(block, "n", "system")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("n must be a positive integer", "system.n")
-    masses = _require(block, "masses", "system")
-    if not isinstance(masses, list) or len(masses) != n:
+    masses = _numbers(block, "masses", "system")
+    if len(masses) != n:
         raise ConfigError(f"masses must be a list of length n={n}", "system.masses")
-    forces = block.get("forces")
-    if forces is not None and (not isinstance(forces, list) or len(forces) != n):
+    forces = _expressions(block, "forces", "system")
+    if forces is not None and len(forces) != n:
         raise ConfigError(f"forces must be a list of length n={n}", "system.forces")
     try:
         spec = engine.make_system(
             n, masses,
-            potential=block.get("potential"),
+            potential=_typed(block, "potential", "system", str),
             forces=forces,
-            constraints=block.get("constraints", ()),
-            eps_reg=float(block.get("eps_reg", 1e-10)),
+            constraints=_expressions(block, "constraints", "system") or (),
+            eps_reg=_number(block, "eps_reg", "system", 1e-10),
         )
     except (NonholoError, ValueError) as exc:
         raise ConfigError(str(exc), "system") from exc
@@ -103,7 +169,7 @@ def _build_integrator(block: dict) -> IntegratorConfig:
             dt_min=_number(block, "dt_min", "integrator", 1e-12),
             dt_max=_number(block, "dt_max", "integrator", 0.1),
             drift_tolerance=_number(block, "drift_tolerance", "integrator", 1e-6),
-            projection=bool(block.get("projection", False)),
+            projection=_typed(block, "projection", "integrator", bool, False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "integrator") from exc
@@ -115,17 +181,19 @@ class Run:
     def __init__(self, config: dict, config_path: str):
         if not isinstance(config, dict):
             raise ConfigError("top-level config must be an object", "")
+        _known_keys(config, _TOP_KEYS, "")
         self.config_path = config_path
         raw = json.dumps(config, sort_keys=True).encode()
         self.config_hash = hashlib.sha256(raw).hexdigest()
-        self.spec, self.scenario, self.params = _build_system(_require(config, "system", ""))
-        initial = config.get("initial", {})
+        _require(config, "system", "")
+        self.spec, self.scenario, self.params = _build_system(_block(config, "system", None))
+        initial = _block(config, "initial", _INITIAL_KEYS)
         if self.scenario.initial is not None and "q0" not in initial:
             q0, v0 = self.scenario.initial(self.params)
             self.q0, self.v0 = list(q0), list(v0)
         else:
-            self.q0 = [float(x) for x in _require(initial, "q0", "initial")]
-            self.v0 = [float(x) for x in _require(initial, "v0", "initial")]
+            self.q0 = _numbers(initial, "q0", "initial")
+            self.v0 = _numbers(initial, "v0", "initial")
         if len(self.q0) != self.spec.n:
             raise ConfigError(f"q0 length {len(self.q0)} != n={self.spec.n}", "initial.q0")
         if len(self.v0) != self.spec.n:
@@ -133,31 +201,37 @@ class Run:
         self.e0 = _number(initial, "e0", "initial", 1.0)
         if self.e0 == 0.0:
             raise ConfigError("e0 must be nonzero", "initial.e0")
-        mu_src = initial.get("mu_e", "0")
         try:
-            mu_expr = parse_expression(str(mu_src), 0)
+            mu_expr = parse_expression(_typed(initial, "mu_e", "initial", str, "0"), 0)
         except NonholoError as exc:
             raise ConfigError(str(exc), "initial.mu_e") from exc
         self.mu_e = lambda t: mu_expr._fn((), (), t)
-        self.project = bool(initial.get("project", False))
-        self.cfg = _build_integrator(_require(config, "integrator", ""))
-        outputs = config.get("outputs", {})
-        self.trajectory_csv = outputs.get("trajectory_csv")
-        self.report_json = outputs.get("report_json")
-        self.checks = config.get("checks", [])
-        if not isinstance(self.checks, list):
+        self.project = _typed(initial, "project", "initial", bool, False)
+        _require(config, "integrator", "")
+        self.cfg = _build_integrator(_block(config, "integrator", _INTEGRATOR_KEYS))
+        outputs = _block(config, "outputs", _OUTPUT_KEYS)
+        self.trajectory_csv = _typed(outputs, "trajectory_csv", "outputs", str)
+        self.report_json = _typed(outputs, "report_json", "outputs", str)
+        checks = config.get("checks", [])
+        if not isinstance(checks, list):
             raise ConfigError("checks must be a list", "checks")
-        for i, chk in enumerate(self.checks):
-            if not isinstance(chk, dict) or "type" not in chk:
-                raise ConfigError("each check needs a 'type'", f"checks[{i}]")
-            if chk["type"] not in _CHECK_TYPES:
-                raise ConfigError(f"unknown check type {chk['type']!r}", f"checks[{i}]")
-            if chk["type"] in _GRID_CHECKS and self.cfg.method != "rk4":
-                raise ConfigError(f"{chk['type']} needs the uniform time grid of an rk4 run",
-                                  f"checks[{i}]")
-            if chk["type"] == "analytic-compare" and self.scenario.reference is None:
-                raise ConfigError("analytic-compare needs an lda_*/friction scenario",
-                                  f"checks[{i}]")
+        self.checks = [self._check(chk, f"checks[{i}]") for i, chk in enumerate(checks)]
+
+    def _check(self, chk, path: str) -> dict:
+        """The check's type and its parameters, defaults filled in."""
+        if not isinstance(chk, dict) or "type" not in chk:
+            raise ConfigError("each check needs a 'type'", path)
+        kind = chk["type"]
+        if not isinstance(kind, str) or kind not in _CHECK_PARAMS:
+            raise ConfigError(f"unknown check type {kind!r}", path)
+        params = _CHECK_PARAMS[kind]
+        _known_keys(chk, ("type", *params), path)
+        if kind in _GRID_CHECKS and self.cfg.method != "rk4":
+            raise ConfigError(f"{kind} needs the uniform time grid of an rk4 run", path)
+        if kind == "analytic-compare" and self.scenario.reference is None:
+            raise ConfigError("analytic-compare needs an lda_*/friction scenario", path)
+        return {"type": kind, **{key: _number(chk, key, path, default)
+                                 for key, default in params.items()}}
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
         """Extended-phase-space run from the on-surface lift of (q0, v0)."""
@@ -252,7 +326,8 @@ def _grid_path(run: Run, traj: integrate.Trajectory):
 
 def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
     kind = chk["type"]
-    tol = float(chk.get("tolerance", 1e-8))
+    # the path checks take no tolerance; their records carry the default
+    tol = chk.get("tolerance", 1e-8)
     rec = {"check": kind, "tolerance": tol}
     if kind == "drift":
         drift = float(np.max(np.abs(traj.constraint_values))) if traj.constraint_values.size else 0.0
@@ -260,13 +335,12 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         return rec
     if kind == "analytic-compare":
         scenario, params = run.scenario, run.params
-        ref = np.array([scenario.reference(params, t) for t in traj.times])
-        dev = float(np.max(np.abs(traj.q - ref)))
+        dev = scenarios.curve_deviation(traj, scenario.reference, params)
         rec.update(reference="circle", max_deviation=dev, passed=dev <= tol)
         # the printed closed form needs real decay rates, k > 2*m*omega
         if scenario.closed_form is not None and params.k > 2 * params.m * params.omega:
-            printed = np.array([scenario.closed_form(params, t) for t in traj.times])
-            rec["printed_form_deviation"] = float(np.max(np.abs(traj.q - printed)))
+            rec["printed_form_deviation"] = scenarios.curve_deviation(traj, scenario.closed_form,
+                                                                      params)
             rec["printed_form_gating"] = False
         return rec
     if kind == "hamiltonian-equivalence":
@@ -280,18 +354,17 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
         return rec
     if kind == "action-stationarity":
         path = _grid_path(run, traj)
-        report = action.stationarity_check(run.spec, path, C=float(chk.get("C", 50.0)))
+        report = action.stationarity_check(run.spec, path, C=chk["C"])
         rec.update(asdict(report))
         return rec
-    # gauge-invariance: Run admits no kind outside _CHECK_TYPES
+    # gauge-invariance: Run admits no kind outside _CHECK_PARAMS
     path = _grid_path(run, traj)
     profile = bump(path.times)
-    amp = float(chk.get("offshell_amplitude", 0.05))
+    amp = chk["offshell_amplitude"]
     # perturb off-shell so the transformation is non-trivial
     path = path.replace(pi=path.pi + amp * profile[:, None], p=path.p + amp * profile[:, None])
-    report = action.gauge_invariance_check(run.spec, path, profile,
-                                           float(chk.get("alpha_amplitude", 1e-2)),
-                                           C=float(chk.get("C", 10.0)))
+    report = action.gauge_invariance_check(run.spec, path, profile, chk["alpha_amplitude"],
+                                           C=chk["C"])
     rec.update(asdict(report))
     return rec
 
@@ -361,7 +434,7 @@ def cmd_sleigh(args) -> int:
                                       omega=args.omega, c=args.c)
         t_end = args.t_end if args.t_end is not None else scenario.t_end(params)
         cfg = IntegratorConfig(method="rk4", dt=args.dt, t_end=t_end)
-    except ValueError as exc:
+    except (ValueError, NonholoError) as exc:
         raise ConfigError(str(exc), "sleigh") from exc
     q0, v0 = scenario.initial(params)
     traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards())
@@ -373,8 +446,7 @@ def cmd_sleigh(args) -> int:
         dev = float(np.max(np.abs(traj.q[:, 0] - params.omega * traj.times)))
         print(f"max |phi - omega*t| = {dev:.6e} rad over t in [0, {t_end:.6g}] (c = {args.c})")
     else:
-        ref = np.array([scenario.reference(params, t) for t in traj.times])
-        dev = float(np.max(np.abs(traj.q - ref)))
+        dev = scenarios.curve_deviation(traj, scenario.reference, params)
         print(f"max deviation from circular reference = {dev:.6e} "
               f"over t in [0, {t_end:.6g}] ({traj.termination.kind})")
     return 0

@@ -11,10 +11,12 @@ fixed by demanding dD_a/dt = 0 along the motion:
 
 and the total acceleration is a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i.
 
+Every evaluation takes raw ``(spec, q, v, t)`` sequences.
 ``acceleration_jacobian_raw`` differentiates the multiplier solve in closed
 form, from the compiled second partials of the constraints and of the base
-force.  The other evaluation paths also accept dual-number components; only
-the Poisson brackets in ``hamiltonian`` pass duals.
+force.  Dual numbers reach the engine only through
+``hamiltonian.hamiltonian_value`` under ``hamiltonian.poisson_bracket``, which
+seeds q and v with them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from . import expr as _expr
 from .dual import value
 from .errors import NoConvergence, RegularityError
-from .expr import EvalPoint, Expr, Unary
+from .expr import Expr, Unary
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,6 @@ def make_system(
         fs = tuple(_expr.parse_expression(f, n) for f in forces) if forces is not None else None
     cs = ConstraintSet(tuple(_expr.parse_expression(c, n) for c in constraints), eps_reg)
     return SystemSpec(n=n, mass=tuple(float(m) for m in masses), forces=fs, constraints=cs)
-
-
-@dataclass(frozen=True)
-class MultiplierResult:
-    h: tuple
-    gram: tuple
-    rhs: tuple
 
 
 # --- raw evaluation (floats or duals) ---------------------------------------
@@ -283,35 +278,6 @@ def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
         dfdq.append([f / mj for f in row[:n]])
         dfdv.append([f / mj for f in row[n:]])
     return accel, dfdq, dfdv
-
-
-# --- public API ---------------------------------------------------------------
-
-def _check_point(spec: SystemSpec, pt: EvalPoint):
-    if len(pt.q) != spec.n:
-        raise ValueError(f"point dimension {len(pt.q)} != system dimension {spec.n}")
-
-
-def base_acceleration(spec: SystemSpec, pt: EvalPoint):
-    """Unconstrained acceleration f0_i/m_i."""
-    _check_point(spec, pt)
-    f0 = base_force_raw(spec, pt.q, pt.v, pt.t)
-    return tuple(f0[i] / spec.mass[i] for i in range(spec.n))
-
-
-def compute_multipliers(spec: SystemSpec, pt: EvalPoint) -> MultiplierResult:
-    """Solve the consistency system for the constraint multipliers."""
-    _check_point(spec, pt)
-    if not spec.constraints.exprs:
-        return MultiplierResult(h=(), gram=(), rhs=())
-    h, gram, rhs, _ = multipliers_raw(spec, pt.q, pt.v, pt.t)
-    return MultiplierResult(h=tuple(h), gram=tuple(tuple(row) for row in gram), rhs=tuple(rhs))
-
-
-def total_acceleration(spec: SystemSpec, pt: EvalPoint):
-    """Constrained acceleration; equals base_acceleration when no constraints."""
-    _check_point(spec, pt)
-    return tuple(acceleration_raw(spec, pt.q, pt.v, pt.t))
 
 
 def constraint_values(spec: SystemSpec, q, v, t=0.0):

@@ -2,17 +2,17 @@
 
 Grammar over variables q1..qn, v1..vn and t, with +, -, *, /, ^ and the
 unary functions sin, cos, tan, exp, log, sqrt, abs.  Parsed trees are
-immutable; evaluation and differentiation are pure.  Derivatives are exact:
-partials of any order are ``Expr``s, one per occurring variable, built by
-``partial_exprs`` on first use and each compiled once.  ``grad_raw`` evaluates
-them, and ``grad_raw`` of an entry is a row of second partials (the force
-Jacobians in ``engine``).  The compiled functions also accept dual numbers,
-which serve only the Poisson brackets (see ``hamiltonian``).
+immutable; evaluation and differentiation are pure.  An ``Expr`` is evaluated
+by calling its compiled ``_fn(q, v, t)`` on raw sequences.  Derivatives are
+exact: partials of any order are ``Expr``s, one per occurring variable, built
+by ``partial_exprs`` on first use and each compiled once.  ``grad_raw``
+evaluates them, and ``grad_raw`` of an entry is a row of second partials (the
+force Jacobians in ``engine``).  The compiled functions also accept dual
+numbers, which serve only the Poisson brackets (see ``hamiltonian``).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -49,19 +49,6 @@ class Binary:
 
 
 Node = Union[Const, Var, Unary, Binary]
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Configuration-velocity-time sample (q, v, t)."""
-
-    q: tuple
-    v: tuple
-    t: float = 0.0
-
-    def __post_init__(self):
-        if len(self.q) != len(self.v):
-            raise ValueError("q and v must have equal length")
 
 
 class Expr:
@@ -379,19 +366,6 @@ def _derivative(node: Node, kind: str, index: int) -> Node:
     raise AssertionError(f"unknown operator {node.op!r}")
 
 
-def evaluate(expr: Expr, pt: EvalPoint) -> float:
-    """Real evaluation; non-finite results are reported as domain errors."""
-    if len(pt.q) != expr.n:
-        raise ValueError(f"point dimension {len(pt.q)} != expression dimension {expr.n}")
-    try:
-        out = expr._fn(pt.q, pt.v, pt.t)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ExprDomainError(str(exc)) from exc
-    if not math.isfinite(out):
-        raise ExprDomainError(f"non-finite result {out!r}")
-    return out
-
-
 # Compiled partials pay (lda_nonlinear constraint, 2-core host, Python 3.11.7): 2.3 us per
 # gradient against 6.8 us dual-seeded, 5.5 us per acceleration_raw.
 def grad_raw(expr: Expr, q, v, t):
@@ -428,20 +402,6 @@ def partial_exprs(expr: Expr):
             for kind, index in expr.free
         )
     return expr._partials
-
-
-def grad(expr: Expr, pt: EvalPoint):
-    """Exact partials with respect to each q_i, v_i and t."""
-    if len(pt.q) != expr.n:
-        raise ValueError(f"point dimension {len(pt.q)} != expression dimension {expr.n}")
-    try:
-        dq, dv, dt = grad_raw(expr, pt.q, pt.v, pt.t)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ExprDomainError(str(exc)) from exc
-    for component in (*dq, *dv, dt):
-        if not math.isfinite(component):
-            raise ExprDomainError("non-finite derivative component")
-    return tuple(dq), tuple(dv), dt
 
 
 # --- canonical serialization -------------------------------------------------

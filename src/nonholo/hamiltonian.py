@@ -7,6 +7,11 @@ phase space (q, p, v, pi, e, pi_e) with Hamiltonian
 
 On the constraint surface pi_e = 0, p = 0, pi = 0 the flow reduces to
 qd = v, vd = F (the original dynamics) plus ed = mu_e, and H vanishes.
+
+The flow and the surface residual take the flat row y = [q, p, v, pi, e, pi_e]
+that the integrator steps and the stationarity check assembles; ``pack`` and
+``unpack`` convert between that row and an ``ExtendedPhasePoint``, which
+``hamiltonian_value`` and the Poisson brackets take.
 """
 
 from __future__ import annotations
@@ -82,52 +87,46 @@ def force_jacobians(spec: SystemSpec, q, v, t: float = 0.0):
     return dfdq, dfdv
 
 
-def hamiltonian_vector_field(spec: SystemSpec, z: ExtendedPhasePoint,
-                             mu_e: float = 0.0, t: float = 0.0) -> list:
-    """Flow of H in the flat layout [qd, pd, vd, pid, ed, pi_ed].
+def hamiltonian_vector_field(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 0.0) -> list:
+    """Flow of H at the flat row y = [q, p, v, pi, e, pi_e], in the same layout.
 
     qd = v; vd = pi/e + F; ed = mu_e;
     pd_i = -sum_j pi_j dF_j/dq_i; pid_i = -p_i - sum_j pi_j dF_j/dv_i;
     pi_ed = pi^2/(2 e^2).
     """
-    if value(z.e) == 0.0:
+    n = spec.n
+    q, p, v, pi, e = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n]
+    if e == 0.0:
         raise ExprDomainError("auxiliary variable e is zero")
-    n = z.n
-    if all(value(x) == 0.0 for x in z.pi):
+    if all(x == 0.0 for x in pi):
         # momentum rates vanish identically with pi = 0; skip the Jacobians
-        f = engine.acceleration_raw(spec, z.q, z.v, t)
+        f = engine.acceleration_raw(spec, q, v, t)
         pd = [0.0] * n
-        pid = [-z.p[i] for i in range(n)]
+        pid = [-x for x in p]
     else:
         # F and its Jacobians from one multiplier solve
-        f, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, z.q, z.v, t)
+        f, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, q, v, t)
         pd = [0.0] * n
         pid = [0.0] * n
         for i in range(n):
             acc_q = 0.0
             acc_v = 0.0
             for j in range(n):
-                acc_q = acc_q + z.pi[j] * dfdq[j][i]
-                acc_v = acc_v + z.pi[j] * dfdv[j][i]
+                acc_q = acc_q + pi[j] * dfdq[j][i]
+                acc_v = acc_v + pi[j] * dfdv[j][i]
             pd[i] = -acc_q
-            pid[i] = -z.p[i] - acc_v
-    qd = list(z.v)
-    vd = [z.pi[i] / z.e + f[i] for i in range(n)]
+            pid[i] = -p[i] - acc_v
+    vd = [pi[i] / e + f[i] for i in range(n)]
     pi2 = 0.0
-    for x in z.pi:
+    for x in pi:
         pi2 = pi2 + x * x
-    pi_ed = pi2 / (2.0 * z.e * z.e)
-    return [*qd, *pd, *vd, *pid, mu_e, pi_ed]
+    pi_ed = pi2 / (2.0 * e * e)
+    return [*v, *pd, *vd, *pid, mu_e, pi_ed]
 
 
-def constraint_surface_residual(z: ExtendedPhasePoint) -> float:
-    """max(|pi_e|, ||p||_inf, ||pi||_inf); zero exactly on the surface."""
-    res = abs(z.pi_e)
-    for x in z.p:
-        res = max(res, abs(x))
-    for x in z.pi:
-        res = max(res, abs(x))
-    return res
+def constraint_surface_residual(y, n: int) -> float:
+    """max(|pi_e|, ||p||_inf, ||pi||_inf) at the flat row y; zero exactly on the surface."""
+    return max(map(abs, [y[4 * n + 1], *y[n:2 * n], *y[3 * n:4 * n]]))
 
 
 def _coordinate_gradient(f, z: ExtendedPhasePoint) -> dict:

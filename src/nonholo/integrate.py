@@ -34,6 +34,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("dt", "t_end", "atol", "rtol", "dt_min", "dt_max", "drift_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.atol <= 0 or self.rtol <= 0:
@@ -343,15 +346,14 @@ def integrate_hamiltonian(spec: SystemSpec, z0: ExtendedPhasePoint, mu_e,
         mu_e = lambda t: 0.0
 
     def f(t, y):
-        z = hamiltonian.unpack(y, n)
-        return hamiltonian.hamiltonian_vector_field(spec, z, mu_e(t), t)
+        return hamiltonian.hamiltonian_vector_field(spec, y, mu_e(t), t)
 
     times, rows, residuals = [], [], []
 
     def accept(t, y):
         times.append(t)
         rows.append(list(y))
-        residuals.append(hamiltonian.constraint_surface_residual(hamiltonian.unpack(y, n)))
+        residuals.append(hamiltonian.constraint_surface_residual(y, n))
         return None
 
     y0 = hamiltonian.pack(z0)

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .engine import SystemSpec, make_system
 
 # yd1 = 0 guard threshold for the nonlinear constraint chart
@@ -41,6 +43,9 @@ class SleighParams:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "I", "k", "v0", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.m <= 0 or self.I <= 0:
             raise ValueError("mass and moment of inertia must be positive")
         if self.k < 0:
@@ -97,6 +102,13 @@ def sleigh_circle(params: SleighParams, t: float):
     w, v0 = params.omega, params.v0
     r = v0 / w
     return r * math.sin(w * t), r * (1.0 - math.cos(w * t)), w * t
+
+
+def curve_deviation(traj, curve: Callable, params) -> float:
+    """max |q - curve(params, t)| over the samples of a run (``sleigh_circle``,
+    ``sleigh_friction_analytic``, ...)."""
+    ref = np.array([curve(params, t) for t in traj.times])
+    return float(np.max(np.abs(traj.q - ref)))
 
 
 def final_position(params: SleighParams):
@@ -167,7 +179,10 @@ def damped_oscillator_spec(omega: float, k: float, sign: int = -1) -> SystemSpec
 def _sleigh_builder(variant: str) -> Callable:
     def build(c=0.0, **params):
         sleigh = SleighParams(**{k: float(v) for k, v in params.items()})
-        return build_sleigh_spec(variant, sleigh, c=float(c)), sleigh
+        c = float(c)
+        if not math.isfinite(c):
+            raise ValueError("c must be finite")
+        return build_sleigh_spec(variant, sleigh, c=c), sleigh
     return build
 
 

@@ -31,6 +31,7 @@ from nonholo.paths import ConfigPath, bump, lift_on_shell
 from nonholo.scenarios import (
     SleighParams,
     build_sleigh_spec,
+    curve_deviation,
     final_position,
     initial_state,
     nonlinear_sleigh_guards,
@@ -46,16 +47,11 @@ def emit(capsys, num, passed, detail):
         print(f"\ncriterion {num:2d}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def circle_deviation(traj, params=PARAMS):
-    ref = np.array([sleigh_circle(params, t) for t in traj.times])
-    return float(np.max(np.abs(traj.q - ref)))
-
-
 def test_criterion_01_linear_constraint_circle(capsys):
     t0 = time.perf_counter()
     spec, traj = sleigh_run("lda_linear", dt=1e-3, t_end=2 * math.pi)
     runtime = time.perf_counter() - t0
-    dev = circle_deviation(traj)
+    dev = curve_deviation(traj, sleigh_circle, PARAMS)
     drift = float(np.max(np.abs(traj.constraint_values)))
     ok = dev <= 1e-8 and drift <= 1e-9 and runtime < 1.0
     emit(capsys, 1, ok, f"circle deviation {dev:.2e} (<=1e-8), "
@@ -67,7 +63,7 @@ def test_criterion_01_linear_constraint_circle(capsys):
 
 def test_criterion_02_nonlinear_constraint_circle(capsys):
     spec, traj = sleigh_run("lda_nonlinear", dt=1e-3, t_end=0.4 * math.pi)
-    dev = circle_deviation(traj)
+    dev = curve_deviation(traj, sleigh_circle, PARAMS)
     completed = traj.termination.kind == "completed"
     ok = dev <= 1e-7 and completed
     emit(capsys, 2, ok, f"circle deviation {dev:.2e} (<=1e-7), "
@@ -88,7 +84,7 @@ def test_criterion_03_infinite_friction_limit(capsys):
         cfg = IntegratorConfig(method="rkf45", dt=0.01, t_end=period,
                                atol=1e-10, rtol=1e-10, dt_max=0.01)
         traj = integrate_second_order(spec, q0, v0, cfg)
-        distances.append(circle_deviation(traj, params))
+        distances.append(curve_deviation(traj, sleigh_circle, params))
         # the trajectory spirals towards the limit point; estimate it by the
         # time average of the position over the period
         w = np.diff(traj.times)
@@ -97,8 +93,7 @@ def test_criterion_03_infinite_friction_limit(capsys):
         target = np.array(final_position(params))
         rel_errs.append(float(np.linalg.norm(est - target) / np.linalg.norm(target)))
         # closed-form comparison, reported only
-        printed = np.array([sleigh_friction_analytic(params, t) for t in traj.times])
-        printed_dev = float(np.max(np.abs(traj.q - printed)))
+        printed_dev = curve_deviation(traj, sleigh_friction_analytic, params)
         with capsys.disabled():
             print(f"\n  [non-gating] k={k:g}: closed-form deviation {printed_dev:.3e}")
     monotone = distances[0] > distances[1] > distances[2]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config validation, outputs."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -288,3 +289,80 @@ class TestVerify:
         records = [json.loads(line)
                    for line in Path(cfg["outputs"]["report_json"]).read_text().splitlines()]
         assert [r["passed"] for r in records] == [True] * 5
+
+
+# each config is rejected at load, naming the field; checks[1] follows a valid drift check
+BAD_CONFIGS = {
+    "integrator_string": ({"integrator": "rk4"}, "integrator"),
+    "outputs_list": ({"outputs": []}, "outputs"),
+    "initial_list": ({"initial": []}, "initial"),
+    "force_number": ({"system": {"n": 1, "masses": [1], "forces": [1]},
+                      "initial": {"q0": [1.0], "v0": [0.0]}}, "system.forces"),
+    "v0_string": ({"initial": {"q0": [0, 0, 0], "v0": ["a", 0, 0]}}, "initial.v0"),
+    "tolerance_string": ({"checks": [{"type": "drift"}, {"type": "drift", "tolerance": "x"}]},
+                         "checks[1].tolerance"),
+    "C_string": ({"checks": [{"type": "drift"}, {"type": "action-stationarity", "C": "big"}]},
+                 "checks[1].C"),
+    "alpha_string": ({"checks": [{"type": "drift"},
+                                 {"type": "gauge-invariance", "alpha_amplitude": "x"}]},
+                     "checks[1].alpha_amplitude"),
+    "check_key_misspelled": ({"checks": [{"type": "drift"},
+                                         {"type": "drift", "tolerence": 1e-30}]},
+                             "checks[1].tolerence"),
+    "integrator_key_misspelled": ({"integrator": {"method": "rk4", "dt": 0.01, "t_end": 1.0,
+                                                  "projecton": True}},
+                                  "integrator.projecton"),
+    "outputs_key_misspelled": ({"outputs": {"trajectory": "t.csv"}}, "outputs.trajectory"),
+}
+
+
+class TestLoadValidation:
+    def _rejected_at_load(self, tmp_path, capsys, argv, field):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert field in err and "PASS" not in out and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("overrides, field", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_invalid_block_exits_two_before_the_run(self, tmp_path, capsys, overrides, field):
+        overrides = dict(overrides)
+        outputs = overrides.pop("outputs", {})
+        if isinstance(outputs, dict):
+            outputs = {"trajectory_csv": str(tmp_path / "traj.csv"),
+                       **{key: str(tmp_path / name) for key, name in outputs.items()}}
+        cfg = base_config(tmp_path, outputs=outputs,
+                          **{"checks": [{"type": "drift"}], **overrides})
+        self._rejected_at_load(tmp_path, capsys, ["verify", cfg], field)
+
+    @pytest.mark.parametrize("flag, field", [("--dt", "dt"), ("--t-end", "t_end"),
+                                             ("--omega", "omega"), ("--k", "k"), ("--c", "c")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sleigh_number_exits_two(self, tmp_path, capsys, flag, field, value):
+        self._rejected_at_load(tmp_path, capsys, ["sleigh", "lda_linear", flag, value],
+                               f"{field} must be finite")
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"integrator": {"method": "rk4", "dt": math.nan, "t_end": 1.0}}, "integrator.dt"),
+        ({"integrator": {"method": "rk4", "dt": 0.01, "t_end": 10**400}}, "integrator.t_end"),
+        ({"checks": [{"type": "drift", "tolerance": math.inf}]}, "checks[0].tolerance"),
+        ({"system": {"n": 1, "masses": [1.0], "potential": "q1^2/2", "eps_reg": math.nan},
+          "initial": {"q0": [1.0], "v0": [0.0]}}, "system.eps_reg"),
+        ({"system": {"n": 1, "masses": [1.0], "potential": "q1^2/2", "eps_reg": "1e-10"},
+          "initial": {"q0": [1.0], "v0": [0.0]}}, "system.eps_reg"),
+    ], ids=["dt_nan", "t_end_huge_int", "tolerance_inf", "eps_reg_nan", "eps_reg_string"])
+    def test_non_finite_config_number_exits_two(self, tmp_path, capsys, overrides, field):
+        cfg = base_config(tmp_path, outputs={"trajectory_csv": str(tmp_path / "traj.csv")},
+                          **{"checks": [{"type": "drift"}], **overrides})
+        self._rejected_at_load(tmp_path, capsys, ["verify", cfg], field)
+
+    def test_every_check_parameter_accepted(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, checks=[
+            {"type": "drift", "tolerance": 1e-9},
+            {"type": "analytic-compare", "tolerance": 1e-6},
+            {"type": "hamiltonian-equivalence", "tolerance": 1e-8},
+            {"type": "action-stationarity", "C": 50},
+            {"type": "gauge-invariance", "alpha_amplitude": 0.01, "offshell_amplitude": 0.05,
+             "C": 10},
+        ])
+        assert main(["verify", cfg]) == 0
+        assert capsys.readouterr().out.count("PASS") == 5

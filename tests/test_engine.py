@@ -8,15 +8,13 @@ import pytest
 from conftest import potential_t_system
 from nonholo.engine import (
     base_force_raw,
-    compute_multipliers,
     make_system,
-    total_acceleration,
-    base_acceleration,
+    multipliers_raw,
     constraint_values,
     acceleration_raw,
     project_initial_state,
 )
-from nonholo.expr import EvalPoint, parse_expression, grad_raw
+from nonholo.expr import parse_expression, grad_raw
 from nonholo.errors import NoConvergence, RegularityError
 
 
@@ -34,20 +32,20 @@ class TestMultipliers:
         spec = make_system(2, (2.0, 3.0), forces=("1.0", "-2.0"),
                            constraints=("v1*v2 - 1",))
         q, v = (0.3, -0.7), (2.0, 0.5)
-        res = compute_multipliers(spec, EvalPoint(q, v))
+        h, gram, rhs, _ = multipliers_raw(spec, q, v, 0.0)
         dv = (v[1], v[0])  # gradient of v1*v2 - 1 in v
         g = dv[0] ** 2 / 2.0 + dv[1] ** 2 / 3.0
         b = -(dv[0] * 1.0 / 2.0 + dv[1] * (-2.0) / 3.0)
-        assert res.gram[0][0] == pytest.approx(g, abs=1e-12)
-        assert res.rhs[0] == pytest.approx(b, abs=1e-12)
-        assert res.h[0] == pytest.approx(b / g, abs=1e-12)
+        assert gram[0][0] == pytest.approx(g, abs=1e-12)
+        assert rhs[0] == pytest.approx(b, abs=1e-12)
+        assert h[0] == pytest.approx(b / g, abs=1e-12)
 
     def test_no_constraints_returns_empty(self):
-        spec = make_system(2, (1.0, 1.0), forces=("q2", "-q1"))
-        res = compute_multipliers(spec, EvalPoint((1.0, 2.0), (0.0, 0.0)))
-        assert res.h == ()
-        assert total_acceleration(spec, EvalPoint((1.0, 2.0), (0.0, 0.0))) == \
-            base_acceleration(spec, EvalPoint((1.0, 2.0), (0.0, 0.0)))
+        spec = make_system(2, (2.0, 4.0), forces=("q2", "-q1"))
+        q, v = (1.0, 2.0), (0.0, 0.0)
+        assert constraint_values(spec, q, v) == []
+        f0 = base_force_raw(spec, q, v, 0.0)
+        assert acceleration_raw(spec, q, v, 0.0) == [f0[0] / 2.0, f0[1] / 4.0] == [1.0, -0.25]
 
     def test_multiplier_affine_in_base_force(self):
         # h depends affinely on f0; doubling forces doubles (h - h_at_zero)
@@ -55,17 +53,17 @@ class TestMultipliers:
         base = make_system(2, (1.0, 1.0), constraints=cons)
         f1 = make_system(2, (1.0, 1.0), forces=("1.0", "0.5"), constraints=cons)
         f2 = make_system(2, (1.0, 1.0), forces=("2.0", "1.0"), constraints=cons)
-        pt = EvalPoint((0.1, 0.2), (1.0, 1.0))
-        h0 = compute_multipliers(base, pt).h[0]
-        h1 = compute_multipliers(f1, pt).h[0]
-        h2 = compute_multipliers(f2, pt).h[0]
+        q, v = (0.1, 0.2), (1.0, 1.0)
+        h0 = multipliers_raw(base, q, v, 0.0)[0][0]
+        h1 = multipliers_raw(f1, q, v, 0.0)[0][0]
+        h2 = multipliers_raw(f2, q, v, 0.0)[0][0]
         assert h2 - h0 == pytest.approx(2 * (h1 - h0), rel=1e-12)
 
     def test_gram_symmetric_two_constraints(self):
         spec = make_system(3, (1.0, 2.0, 3.0),
                            constraints=("v1 - q3*v2", "v2*v3 - 1"))
-        res = compute_multipliers(spec, EvalPoint((0.2, 0.1, 0.5), (1.0, 2.0, 0.5)))
-        g = np.array(res.gram)
+        _, gram, _, _ = multipliers_raw(spec, (0.2, 0.1, 0.5), (1.0, 2.0, 0.5), 0.0)
+        g = np.array(gram)
         assert np.allclose(g, g.T, atol=1e-14)
         assert np.linalg.eigvalsh(g).min() > 0
 
@@ -73,7 +71,7 @@ class TestMultipliers:
         # constraint independent of velocity -> zero Gram row
         spec = make_system(2, (1.0, 1.0), constraints=("q1 - 1",))
         with pytest.raises(RegularityError):
-            compute_multipliers(spec, EvalPoint((1.0, 0.0), (0.0, 0.0)))
+            multipliers_raw(spec, (1.0, 0.0), (0.0, 0.0), 0.0)
 
 
 class TestConsistency:
@@ -114,7 +112,7 @@ class TestConsistency:
         # at heading pi/2 with forward motion along y the lateral constraint
         # forces zero acceleration for a torque-free sleigh
         spec = linear_sleigh()
-        a = total_acceleration(spec, EvalPoint((0.0, 0.0, math.pi / 2), (0.0, 1.0, 0.0)))
+        a = acceleration_raw(spec, (0.0, 0.0, math.pi / 2), (0.0, 1.0, 0.0), 0.0)
         assert max(abs(x) for x in a) <= 1e-12
 
 
@@ -173,11 +171,6 @@ class TestSpecValidation:
 
     def test_potential_gradient_force(self):
         spec = make_system(2, (1.0, 4.0), potential="q1^2 + 3*q2")
-        a = base_acceleration(spec, EvalPoint((2.0, 0.0), (0.0, 0.0)))
+        a = acceleration_raw(spec, (2.0, 0.0), (0.0, 0.0), 0.0)
         assert a[0] == pytest.approx(-4.0, abs=1e-14)
         assert a[1] == pytest.approx(-0.75, abs=1e-14)
-
-    def test_point_dimension_mismatch(self):
-        spec = make_system(2, (1.0, 1.0))
-        with pytest.raises(ValueError):
-            total_acceleration(spec, EvalPoint((1.0,), (1.0,)))

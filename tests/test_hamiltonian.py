@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import WHEEL_CONSTRAINTS, potential_t_system
-from nonholo import engine
+from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
+from nonholo import action, engine, hamiltonian, integrate
 from nonholo.dual import Dual
 from nonholo.engine import make_system
 from nonholo.errors import ExprDomainError, RegularityError, VanishingVelocity
@@ -21,6 +21,7 @@ from nonholo.hamiltonian import (
     poisson_bracket,
     unpack,
 )
+from nonholo.integrate import IntegratorConfig, integrate_hamiltonian
 from nonholo.paths import PhasePath
 from nonholo.scenarios import SleighParams, build_sleigh_spec
 
@@ -66,7 +67,7 @@ class TestVectorField:
     def test_on_surface_reduces_to_second_order_flow(self):
         spec = make_system(2, (1.0, 1.0), forces=("0-q1", "0-q2"))
         z = point(q=(1.0, 0.5), v=(0.2, -0.3))
-        field = hamiltonian_vector_field(spec, z, mu_e=0.4)
+        field = hamiltonian_vector_field(spec, pack(z), mu_e=0.4)
         zd = unpack(field, 2)
         assert zd.q == pytest.approx((0.2, -0.3), abs=1e-15)
         assert zd.v == pytest.approx((-1.0, -0.5), abs=1e-15)
@@ -79,7 +80,7 @@ class TestVectorField:
         # F = (q2*v1, 0): dF1/dq2 = v1, dF1/dv1 = q2
         spec = make_system(2, (1.0, 1.0), forces=("q2*v1", "0"))
         z = point(q=(0.0, 2.0), p=(0.1, 0.2), v=(3.0, 0.0), pi=(1.0, 0.0), e=1.0)
-        zd = unpack(hamiltonian_vector_field(spec, z), 2)
+        zd = unpack(hamiltonian_vector_field(spec, pack(z)), 2)
         assert zd.p[0] == pytest.approx(0.0, abs=1e-14)       # dF1/dq1 = 0
         assert zd.p[1] == pytest.approx(-3.0, abs=1e-14)      # -pi1*dF1/dq2
         assert zd.pi[0] == pytest.approx(-0.1 - 2.0, abs=1e-14)
@@ -94,13 +95,55 @@ class TestVectorField:
                                e=1.3, pi_e=0.2)
         mu = 0.6
         H = lambda w: hamiltonian_value(spec, w, mu_e=mu)
-        zd = unpack(hamiltonian_vector_field(spec, z, mu_e=mu), 1)
+        zd = unpack(hamiltonian_vector_field(spec, pack(z), mu_e=mu), 1)
         assert poisson_bracket(lambda w: w.q[0], H, z) == pytest.approx(zd.q[0], rel=1e-10)
         assert poisson_bracket(lambda w: w.p[0], H, z) == pytest.approx(zd.p[0], rel=1e-10)
         assert poisson_bracket(lambda w: w.v[0], H, z) == pytest.approx(zd.v[0], rel=1e-10)
         assert poisson_bracket(lambda w: w.pi[0], H, z) == pytest.approx(zd.pi[0], rel=1e-10)
         assert poisson_bracket(lambda w: w.e, H, z) == pytest.approx(zd.e, rel=1e-10)
         assert poisson_bracket(lambda w: w.pi_e, H, z) == pytest.approx(zd.pi_e, rel=1e-10)
+
+
+class TestFlatRow:
+    def test_integrator_and_stationarity_pass_rows(self, monkeypatch):
+        # the RK stages and the stationarity check hand the flow their flat rows: no
+        # ExtendedPhasePoint is built, and the flow runs once per RHS and once per sample
+        calls = {"unpack": 0, "field": 0, "rhs": 0}
+
+        def counted(name, key):
+            fn = getattr(hamiltonian, name)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            monkeypatch.setattr(hamiltonian, name, wrapper)
+        counted("unpack", "unpack")
+        counted("hamiltonian_vector_field", "field")
+        drive = integrate._drive
+
+        def counting_drive(f, *args):
+            def rhs(t, y):
+                calls["rhs"] += 1
+                return f(t, y)
+            return drive(rhs, *args)
+        monkeypatch.setattr(integrate, "_drive", counting_drive)
+        spec = wheel_system()
+        q0, v0 = wheel_state(0.3, 1.2, 0.8)
+        z0 = ExtendedPhasePoint(q=q0, p=(0.03, -0.02, 0.01, 0.04), v=v0,
+                                pi=(0.02, 0.04, -0.03, 0.01), e=1.3, pi_e=0.02)
+        ext = integrate_hamiltonian(spec, z0, lambda t: 0.1,
+                                    IntegratorConfig(method="rk4", dt=0.01, t_end=0.1))
+        assert ext.termination.kind == "completed"
+        assert calls == {"unpack": 0, "field": 40, "rhs": 40}
+        rkf = integrate_hamiltonian(spec, z0, lambda t: 0.1,
+                                    IntegratorConfig(method="rkf45", dt=0.01, t_end=0.1))
+        assert rkf.termination.kind == "completed"
+        assert calls["unpack"] == 0 and calls["field"] == calls["rhs"] > 40
+        path = PhasePath(times=ext.times, q=ext.q, p=ext.p, v=ext.v, pi=ext.pi, e=ext.e,
+                         pi_e=ext.pi_e, mu_e=np.full(len(ext.times), 0.1))
+        before = calls["field"]
+        action.stationarity_check(spec, path)
+        assert calls["unpack"] == 0 and calls["field"] == before + len(path.times) == before + 11
 
 
 def dual_seeded_jacobians(spec, q, v, t):
@@ -235,11 +278,11 @@ class TestBrackets:
 
 class TestSurfaceResidual:
     def test_zero_on_surface(self):
-        assert constraint_surface_residual(point(q=(1.0, 2.0), v=(3.0, 4.0))) == 0.0
+        assert constraint_surface_residual(pack(point(q=(1.0, 2.0), v=(3.0, 4.0))), 2) == 0.0
 
     def test_max_norm(self):
         z = point(p=(0.1, -0.3), pi=(0.2, 0.0), pi_e=0.05)
-        assert constraint_surface_residual(z) == pytest.approx(0.3, abs=1e-15)
+        assert constraint_surface_residual(pack(z), 2) == pytest.approx(0.3, abs=1e-15)
 
 
 def straight_line_path(n_steps=200, dt=0.01, v=(1.0, 0.5)):

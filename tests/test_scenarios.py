@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import sleigh_run
-from nonholo.engine import total_acceleration
-from nonholo.expr import EvalPoint
+from nonholo.engine import acceleration_raw
 from nonholo.integrate import IntegratorConfig, integrate_second_order
 from nonholo.scenarios import (
     SCENARIO_NAMES,
@@ -46,7 +45,7 @@ class TestFrictionModel:
         spec = build_sleigh_spec("friction", p)
         state = (0.2, -0.1, 0.7, 0.9, 0.4, 1.1)
         expected = sleigh_friction_rhs(p, state)
-        got = total_acceleration(spec, EvalPoint(state[:3], state[3:]))
+        got = acceleration_raw(spec, state[:3], state[3:], 0.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_final_position_formula(self):
@@ -91,7 +90,7 @@ class TestConstrainedVariants:
         p = SleighParams()
         spec = build_sleigh_spec("lda_linear", p)
         q0, v0 = initial_state(p)
-        a = total_acceleration(spec, EvalPoint(q0, v0))
+        a = acceleration_raw(spec, q0, v0, 0.0)
         assert a == pytest.approx((0.0, p.v0 * p.omega, 0.0), abs=1e-12)
 
     def test_linear_variant_tracks_circle(self):
@@ -131,7 +130,7 @@ class TestVakonomic:
         c = 0.7
         spec = build_sleigh_spec("vakonomic_phi", p, c=c)
         for phi in (0.0, 0.3, 1.2, -0.5):
-            a = total_acceleration(spec, EvalPoint((phi,), (0.0,)))
+            a = acceleration_raw(spec, (phi,), (0.0,), 0.0)
             assert a[0] == pytest.approx(vakonomic_phi_rhs(p, c, phi), abs=1e-12)
 
     def test_rhs_example(self):
