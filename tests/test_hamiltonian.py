@@ -56,6 +56,8 @@ class TestHamiltonianValue:
         spec = free_particle()
         with pytest.raises(ExprDomainError):
             hamiltonian_value(spec, point(e=0.0))
+        with pytest.raises(ExprDomainError):
+            hamiltonian_vector_field(spec, pack(point(e=0.0)))
 
     def test_pack_unpack_roundtrip(self):
         z = point(q=(1.0, 2.0), p=(3.0, 4.0), v=(5.0, 6.0), pi=(7.0, 8.0),
