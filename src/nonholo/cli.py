@@ -13,7 +13,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .expr import parse_expression
 from .hamiltonian import ExtendedPhasePoint
 from .integrate import IntegratorConfig
 from .paths import bump, lift_on_shell
-from .scenarios import SCENARIO_NAMES, Scenario
+from .scenarios import SCENARIO_NAMES, Scenario, SleighParams
 
 log = logging.getLogger("nonholo")
 
@@ -31,7 +32,7 @@ FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
                     "(Gram system in dD/dv, diagonal mass)")
 
 # inline systems: no default initial state, no guards, no reference solution
-_INLINE = Scenario(build=None)
+_INLINE_SCENARIO = Scenario(build=None)
 
 # the numeric parameters of each check type, with their defaults; a check holds no other key
 _CHECK_PARAMS = {
@@ -45,38 +46,29 @@ _CHECK_PARAMS = {
 # to a phase path, hamiltonian-equivalence matches the two runs sample by sample
 _GRID_CHECKS = ("hamiltonian-equivalence", "action-stationarity", "gauge-invariance")
 
-# the keys each config block may hold
-_TOP_KEYS = ("system", "integrator", "initial", "outputs", "checks")
-_SCENARIO_KEYS = ("scenario", "params")
-_INLINE_KEYS = ("n", "masses", "forces", "potential", "constraints", "eps_reg")
-_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
-_INITIAL_KEYS = ("q0", "v0", "e0", "mu_e", "project")
-_OUTPUT_KEYS = ("trajectory_csv", "report_json")
+# the two kinds that are not plain types: a list of finite numbers and a list of
+# expression strings
+_NUMBERS, _EXPRESSIONS = list[float], list[str]
+# the kind of every key each config block may hold (a float is a finite number); the
+# system block is either a scenario or an inline system, whose keys are the keyword
+# arguments of make_system
+_FIELDS = {
+    "config": {"system": dict, "integrator": dict, "initial": dict, "outputs": dict,
+               "checks": list},
+    "scenario": {"scenario": str, "params": dict},
+    "inline": {"n": int, "masses": _NUMBERS, "forces": _EXPRESSIONS, "potential": str,
+               "constraints": _EXPRESSIONS, "eps_reg": float},
+    "integrator": get_type_hints(IntegratorConfig),
+    "initial": {"q0": _NUMBERS, "v0": _NUMBERS, "e0": float, "mu_e": str,
+                "project": bool},
+    "outputs": {"trajectory_csv": str, "report_json": str},
+}
+_KIND_NAMES = {float: "a number", _NUMBERS: "a list of numbers",
+               _EXPRESSIONS: "a list of expression strings", str: "a string", bool: "a boolean",
+               int: "an integer", dict: "an object", list: "a list"}
 
 
 # --- config loading -------------------------------------------------------------
-
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ConfigError("missing required field", f"{path}.{key}" if path else key)
-    return block[key]
-
-
-def _known_keys(block: dict, allowed: tuple, path: str):
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
-
-
-def _block(config: dict, key: str, allowed: tuple | None) -> dict:
-    """config[key] ({} when absent): an object holding only the allowed keys (any if None)."""
-    block = config.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError("expected an object", key)
-    if allowed is not None:
-        _known_keys(block, allowed, key)
-    return block
-
 
 def _finite(val, path: str) -> float:
     """val as a float; a bool, a non-number or a non-finite number is a config error."""
@@ -91,131 +83,108 @@ def _finite(val, path: str) -> float:
     return out
 
 
-def _number(block: dict, key: str, path: str, default=None):
-    if key not in block:
-        if default is None:
-            raise ConfigError("missing required field", f"{path}.{key}")
-        return default
-    return _finite(block[key], f"{path}.{key}")
+def _value(val, kind, path: str):
+    """val, which must be of the given kind; numbers come back as floats."""
+    if kind is float:
+        return _finite(val, path)
+    if kind is _NUMBERS:
+        if isinstance(val, list):
+            return [_finite(x, f"{path}[{i}]") for i, x in enumerate(val)]
+    elif kind is _EXPRESSIONS:
+        if isinstance(val, list) and all(isinstance(x, str) for x in val):
+            return val
+    elif isinstance(val, kind) and not (kind is int and isinstance(val, bool)):
+        return val
+    raise ConfigError(f"expected {_KIND_NAMES[kind]}", path)
 
 
-def _numbers(block: dict, key: str, path: str) -> list:
-    vals = _require(block, key, path)
-    if not isinstance(vals, list):
-        raise ConfigError("expected a list of numbers", f"{path}.{key}")
-    return [_finite(x, f"{path}.{key}[{i}]") for i, x in enumerate(vals)]
-
-
-def _expressions(block: dict, key: str, path: str):
-    """The list of expression strings at block[key]; None when absent."""
-    vals = block.get(key)
-    if vals is not None and not (isinstance(vals, list) and all(isinstance(x, str) for x in vals)):
-        raise ConfigError("expected a list of expression strings", f"{path}.{key}")
-    return vals
-
-
-def _typed(block: dict, key: str, path: str, kind: type, default=None):
-    """block[key] (default when absent), which must be None or a kind (str, bool)."""
-    val = block.get(key, default)
-    if val is not None and not isinstance(val, kind):
-        raise ConfigError(f"expected a {kind.__name__}", f"{path}.{key}")
-    return val
+def _read(block, path: str, kinds: dict, required=()) -> dict:
+    """The entries of an object holding only keys of kinds, each of its kind, and every
+    required key; a key set to null counts as absent."""
+    if not isinstance(block, dict):
+        raise ConfigError("expected an object", path)
+    prefix = f"{path}." if path else ""
+    out = {}
+    for key, val in block.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {key!r}", f"{prefix}{key}")
+        if val is not None:
+            out[key] = _value(val, kind, f"{prefix}{key}")
+    for key in required:
+        if key not in out:
+            raise ConfigError("missing required field", f"{prefix}{key}")
+    return out
 
 
 def _build_system(block: dict) -> tuple:
     """Returns (spec, scenario, sleigh_params_or_None)."""
     if "scenario" in block:
-        _known_keys(block, _SCENARIO_KEYS, "system")
-        name = block["scenario"]
+        system = _read(block, "system", _FIELDS["scenario"], ("scenario",))
+        name = system["scenario"]
         if name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {name!r}", "system.scenario")
         scenario = scenarios.SCENARIOS[name]
+        params = system.get("params", {})
+        params = _read(params, "system.params", dict.fromkeys(params, float))
         try:
-            spec, params = scenario.build(**block.get("params", {}))
+            spec, sleigh = scenario.build(**params)
         except (TypeError, ValueError, NonholoError) as exc:
             raise ConfigError(str(exc), "system.params") from exc
-        return spec, scenario, params
-    _known_keys(block, _INLINE_KEYS, "system")
-    n = _require(block, "n", "system")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        return spec, scenario, sleigh
+    system = _read(block, "system", _FIELDS["inline"], ("n", "masses"))
+    n = system.pop("n")
+    if n < 1:
         raise ConfigError("n must be a positive integer", "system.n")
-    masses = _numbers(block, "masses", "system")
-    if len(masses) != n:
-        raise ConfigError(f"masses must be a list of length n={n}", "system.masses")
-    forces = _expressions(block, "forces", "system")
-    if forces is not None and len(forces) != n:
-        raise ConfigError(f"forces must be a list of length n={n}", "system.forces")
+    for key in ("masses", "forces"):
+        if key in system and len(system[key]) != n:
+            raise ConfigError(f"{key} must be a list of length n={n}", f"system.{key}")
     try:
-        spec = engine.make_system(
-            n, masses,
-            potential=_typed(block, "potential", "system", str),
-            forces=forces,
-            constraints=_expressions(block, "constraints", "system") or (),
-            eps_reg=_number(block, "eps_reg", "system", 1e-10),
-        )
+        spec = engine.make_system(n, **system)
     except (NonholoError, ValueError) as exc:
         raise ConfigError(str(exc), "system") from exc
-    return spec, _INLINE, None
-
-
-def _build_integrator(block: dict) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(
-            method=block.get("method", "rk4"),
-            dt=_number(block, "dt", "integrator", 1e-3),
-            t_end=_number(block, "t_end", "integrator"),
-            atol=_number(block, "atol", "integrator", 1e-8),
-            rtol=_number(block, "rtol", "integrator", 1e-8),
-            dt_min=_number(block, "dt_min", "integrator", 1e-12),
-            dt_max=_number(block, "dt_max", "integrator", 0.1),
-            drift_tolerance=_number(block, "drift_tolerance", "integrator", 1e-6),
-            projection=_typed(block, "projection", "integrator", bool, False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "integrator") from exc
+    return spec, _INLINE_SCENARIO, None
 
 
 class Run:
     """Validated run configuration."""
 
     def __init__(self, config: dict, config_path: str):
-        if not isinstance(config, dict):
-            raise ConfigError("top-level config must be an object", "")
-        _known_keys(config, _TOP_KEYS, "")
+        top = _read(config, "", _FIELDS["config"], ("system", "integrator"))
         self.config_path = config_path
         raw = json.dumps(config, sort_keys=True).encode()
         self.config_hash = hashlib.sha256(raw).hexdigest()
-        _require(config, "system", "")
-        self.spec, self.scenario, self.params = _build_system(_block(config, "system", None))
-        initial = _block(config, "initial", _INITIAL_KEYS)
-        if self.scenario.initial is not None and "q0" not in initial:
-            q0, v0 = self.scenario.initial(self.params)
-            self.q0, self.v0 = list(q0), list(v0)
-        else:
-            self.q0 = _numbers(initial, "q0", "initial")
-            self.v0 = _numbers(initial, "v0", "initial")
-        if len(self.q0) != self.spec.n:
-            raise ConfigError(f"q0 length {len(self.q0)} != n={self.spec.n}", "initial.q0")
-        if len(self.v0) != self.spec.n:
-            raise ConfigError(f"v0 length {len(self.v0)} != n={self.spec.n}", "initial.v0")
-        self.e0 = _number(initial, "e0", "initial", 1.0)
+        self.spec, self.scenario, self.params = _build_system(top["system"])
+        block = top.get("initial", {})
+        # an inline system needs q0 and v0; a scenario config gives both or neither
+        given = self.scenario.initial is None or "q0" in block or "v0" in block
+        initial = _read(block, "initial", _FIELDS["initial"], ("q0", "v0") if given else ())
+        q0, v0 = ((initial["q0"], initial["v0"]) if given
+                  else self.scenario.initial(self.params))
+        self.q0, self.v0 = list(q0), list(v0)
+        for key, val in (("q0", self.q0), ("v0", self.v0)):
+            if len(val) != self.spec.n:
+                raise ConfigError(f"{key} length {len(val)} != n={self.spec.n}",
+                                  f"initial.{key}")
+        self.e0 = initial.get("e0", 1.0)
         if self.e0 == 0.0:
             raise ConfigError("e0 must be nonzero", "initial.e0")
         try:
-            mu_expr = parse_expression(_typed(initial, "mu_e", "initial", str, "0"), 0)
+            mu_expr = parse_expression(initial.get("mu_e", "0"), 0)
         except NonholoError as exc:
             raise ConfigError(str(exc), "initial.mu_e") from exc
         self.mu_e = lambda t: mu_expr._fn((), (), t)
-        self.project = _typed(initial, "project", "initial", bool, False)
-        _require(config, "integrator", "")
-        self.cfg = _build_integrator(_block(config, "integrator", _INTEGRATOR_KEYS))
-        outputs = _block(config, "outputs", _OUTPUT_KEYS)
-        self.trajectory_csv = _typed(outputs, "trajectory_csv", "outputs", str)
-        self.report_json = _typed(outputs, "report_json", "outputs", str)
-        checks = config.get("checks", [])
-        if not isinstance(checks, list):
-            raise ConfigError("checks must be a list", "checks")
-        self.checks = [self._check(chk, f"checks[{i}]") for i, chk in enumerate(checks)]
+        self.project = initial.get("project", False)
+        integrator = _read(top["integrator"], "integrator", _FIELDS["integrator"], ("t_end",))
+        try:
+            self.cfg = IntegratorConfig(**integrator)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "integrator") from exc
+        outputs = _read(top.get("outputs", {}), "outputs", _FIELDS["outputs"])
+        self.trajectory_csv = outputs.get("trajectory_csv")
+        self.report_json = outputs.get("report_json")
+        self.checks = [self._check(chk, f"checks[{i}]")
+                       for i, chk in enumerate(top.get("checks", []))]
 
     def _check(self, chk, path: str) -> dict:
         """The check's type and its parameters, defaults filled in."""
@@ -225,13 +194,12 @@ class Run:
         if not isinstance(kind, str) or kind not in _CHECK_PARAMS:
             raise ConfigError(f"unknown check type {kind!r}", path)
         params = _CHECK_PARAMS[kind]
-        _known_keys(chk, ("type", *params), path)
+        values = _read(chk, path, {"type": str, **dict.fromkeys(params, float)})
         if kind in _GRID_CHECKS and self.cfg.method != "rk4":
             raise ConfigError(f"{kind} needs the uniform time grid of an rk4 run", path)
         if kind == "analytic-compare" and self.scenario.reference is None:
             raise ConfigError("analytic-compare needs an lda_*/friction scenario", path)
-        return {"type": kind, **{key: _number(chk, key, path, default)
-                                 for key, default in params.items()}}
+        return {**params, **values}
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
         """Extended-phase-space run from the on-surface lift of (q0, v0)."""
@@ -326,9 +294,9 @@ def _grid_path(run: Run, traj: integrate.Trajectory):
 
 def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
     kind = chk["type"]
-    # the path checks take no tolerance; their records carry the default
-    tol = chk.get("tolerance", 1e-8)
-    rec = {"check": kind, "tolerance": tol}
+    rec = {"check": kind}
+    if "tolerance" in chk:  # only the checks that take a tolerance record one
+        tol = rec["tolerance"] = chk["tolerance"]
     if kind == "drift":
         drift = float(np.max(np.abs(traj.constraint_values))) if traj.constraint_values.size else 0.0
         rec.update(max_drift=drift, passed=drift <= tol)
@@ -371,20 +339,32 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
 
 # --- subcommands -------------------------------------------------------------------
 
-def _execute(run: Run, mode: str) -> int:
+# the subcommands that run a config file, with their help
+_CONFIG_COMMANDS = {
+    "simulate": "second-order run with checks",
+    "hamiltonian": "extended-phase-space run (a config without checks)",
+    "verify": "run the configured verification checks",
+}
+
+
+def cmd_config(args) -> int:
+    run = load_run(args.config)
+    if args.command == "verify" and not run.checks:
+        raise ConfigError("verify requires a non-empty checks list", "checks")
+    if args.command == "hamiltonian" and run.checks:
+        raise ConfigError("the hamiltonian run takes no checks", "checks")
     if run.project:
         run.v0 = list(engine.project_initial_state(run.spec, run.q0, run.v0))
-    records = []
-    if mode == "hamiltonian":
+    if args.command == "hamiltonian":
         ext = run.hamiltonian_run()
         passed = ext.termination.kind != "error"
         if run.trajectory_csv:
             write_extended_csv(run.trajectory_csv, run, ext)
-        records.append({"check": "surface-residual",
-                        "max_surface_residual": float(np.max(ext.surface_residual)),
-                        "termination": ext.termination.kind, "passed": passed})
         if run.report_json:
-            write_reports(run.report_json, run, records)
+            write_reports(run.report_json, run, [{
+                "check": "surface-residual",
+                "max_surface_residual": float(np.max(ext.surface_residual)),
+                "termination": ext.termination.kind, "passed": passed}])
         print(f"hamiltonian run: {ext.termination.kind}, "
               f"max surface residual {np.max(ext.surface_residual):.3e}")
         if not passed:
@@ -399,7 +379,7 @@ def _execute(run: Run, mode: str) -> int:
     if traj.termination.kind == "error":
         log.error("integration failed: %s", traj.termination.name)
         return 3
-    all_passed = True
+    records, all_passed = [], True
     for chk in run.checks:
         rec = run_check(run, chk, traj)
         records.append(rec)
@@ -410,21 +390,6 @@ def _execute(run: Run, mode: str) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_simulate(args) -> int:
-    return _execute(load_run(args.config), "simulate")
-
-
-def cmd_hamiltonian(args) -> int:
-    return _execute(load_run(args.config), "hamiltonian")
-
-
-def cmd_verify(args) -> int:
-    run = load_run(args.config)
-    if not run.checks:
-        raise ConfigError("verify requires a non-empty checks list", "checks")
-    return _execute(run, "verify")
-
-
 def cmd_sleigh(args) -> int:
     if args.variant not in scenarios.SLEIGH_VARIANTS:
         raise ConfigError(f"unknown variant {args.variant!r}", "sleigh.variant")
@@ -433,7 +398,7 @@ def cmd_sleigh(args) -> int:
         spec, params = scenario.build(m=args.m, I=args.I, k=args.k, v0=args.v0,
                                       omega=args.omega, c=args.c)
         t_end = args.t_end if args.t_end is not None else scenario.t_end(params)
-        cfg = IntegratorConfig(method="rk4", dt=args.dt, t_end=t_end)
+        cfg = IntegratorConfig(dt=args.dt, t_end=t_end)
     except (ValueError, NonholoError) as exc:
         raise ConfigError(str(exc), "sleigh") from exc
     q0, v0 = scenario.initial(params)
@@ -464,28 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constrained-dynamics runs and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="second-order run with checks")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("hamiltonian", help="extended-phase-space run")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_hamiltonian)
-
-    p = sub.add_parser("verify", help="run the configured verification checks")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_verify)
+    for name, help_text in _CONFIG_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config")
+        p.set_defaults(fn=cmd_config)
 
     p = sub.add_parser("sleigh", help="Chaplygin-sleigh presets")
     p.add_argument("variant", help=" | ".join(scenarios.SLEIGH_VARIANTS))
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--I", type=float, default=1.0)
-    p.add_argument("--k", type=float, default=0.0)
-    p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
+    for name in ("m", "I", "k", "v0", "omega"):
+        p.add_argument(f"--{name}", type=float, default=getattr(SleighParams, name))
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=IntegratorConfig.dt)
     p.set_defaults(fn=cmd_sleigh)
 
     p = sub.add_parser("list-scenarios", help="list scenario names")

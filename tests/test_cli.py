@@ -138,6 +138,14 @@ class TestSimulate:
                    "integrator": {"t_end": 1.0}}, "run.json")
         assert len(run.q0) == len(run.v0) == run.spec.n
 
+    def test_null_counts_as_absent(self):
+        run = Run({"system": {"scenario": "lda_linear", "params": None},
+                   "initial": {"mu_e": None, "e0": None},
+                   "integrator": {"t_end": 1.0, "projection": None},
+                   "outputs": {"report_json": None}, "checks": None}, "run.json")
+        assert run.cfg.projection is False and run.e0 == 1.0 and run.mu_e(2.0) == 0.0
+        assert run.report_json is None and run.checks == []
+
     def test_inline_system(self, tmp_path):
         cfg = {
             "system": {"n": 1, "masses": [1.0], "potential": "q1^2/2"},
@@ -170,6 +178,21 @@ class TestHamiltonian:
         assert main(["hamiltonian", cfg]) == 3
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert rec["termination"] == "error" and rec["passed"] is False
+
+    @pytest.mark.parametrize("command, code", [("simulate", 1), ("hamiltonian", 2)])
+    def test_checks_are_run_or_rejected(self, tmp_path, capsys, command, code):
+        # the hamiltonian run takes no checks and rejects them before it runs
+        csv = tmp_path / "traj.csv"
+        cfg = base_config(tmp_path, outputs={"trajectory_csv": str(csv)}, checks=[
+            {"type": "drift", "tolerance": 1e-300},
+            {"type": "analytic-compare", "tolerance": 1e-300},
+        ])
+        assert main([command, cfg]) == code
+        out, err = capsys.readouterr()
+        assert out.count("FAIL") == (2 if command == "simulate" else 0)
+        assert csv.exists() == (command == "simulate")
+        if command == "hamiltonian":
+            assert "checks" in err and "surface residual" not in out
 
 
 class TestVerify:
@@ -289,6 +312,8 @@ class TestVerify:
         records = [json.loads(line)
                    for line in Path(cfg["outputs"]["report_json"]).read_text().splitlines()]
         assert [r["passed"] for r in records] == [True] * 5
+        # only the checks that take a tolerance record one
+        assert [r.get("tolerance") for r in records] == [1e-9, 1e-6, 1e-8, None, None]
 
 
 # each config is rejected at load, naming the field; checks[1] follows a valid drift check
@@ -313,6 +338,14 @@ BAD_CONFIGS = {
                                                   "projecton": True}},
                                   "integrator.projecton"),
     "outputs_key_misspelled": ({"outputs": {"trajectory": "t.csv"}}, "outputs.trajectory"),
+    "params_string": ({"system": {"scenario": "lda_linear", "params": {"omega": "2", "v0": True}}},
+                      "system.params.omega"),
+    "params_bool": ({"system": {"scenario": "lda_linear", "params": {"v0": True}}},
+                    "system.params.v0"),
+    "method_number": ({"integrator": {"method": 4, "dt": 0.01, "t_end": 1.0}},
+                      "integrator.method"),
+    "v0_without_q0": ({"initial": {"v0": [2, 0, 1]}}, "initial.q0"),
+    "q0_without_v0": ({"initial": {"q0": [0, 0, 0]}}, "initial.v0"),
 }
 
 
