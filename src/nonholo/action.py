@@ -20,16 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, hamiltonian
+from . import hamiltonian
 from .engine import SystemSpec
 from .errors import ExprDomainError
 from .paths import ConfigPath, PhasePath, diff1, diff1_adjoint, diff2, trapezoid_weights
 
 
 def _forces(spec: SystemSpec, q: np.ndarray, v: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """F(q, v, t) at every sample, (N, n): the one loop over samples into the engine."""
-    return np.array([engine.acceleration_raw(spec, q[k], v[k], float(times[k]))
-                     for k in range(len(times))])
+    """F(q, v, t) at every sample, (N, n): the one loop over samples into the system's
+    compiled kernel."""
+    accel = spec.kernel.accel
+    return np.array([accel(qk, vk, tk)
+                     for qk, vk, tk in zip(q.tolist(), v.tolist(), times.tolist())])
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -34,13 +35,20 @@ FORMULATION_NOTE = ("multipliers from the consistency condition dD/dt = 0 "
 # inline systems: no default initial state, no guards, no reference solution
 _INLINE_SCENARIO = Scenario(build=None)
 
+
+def _default(fn, name: str):
+    """The default of a keyword of an API function, so the CLI never restates it."""
+    return inspect.signature(fn).parameters[name].default
+
+
 # the numeric parameters of each check type, with their defaults; a check holds no other key
 _CHECK_PARAMS = {
     "drift": {"tolerance": 1e-8},
     "analytic-compare": {"tolerance": 1e-8},
     "hamiltonian-equivalence": {"tolerance": 1e-8},
-    "action-stationarity": {"C": 50.0},
-    "gauge-invariance": {"alpha_amplitude": 1e-2, "offshell_amplitude": 0.05, "C": 10.0},
+    "action-stationarity": {"C": _default(action.stationarity_check, "C")},
+    "gauge-invariance": {"alpha_amplitude": 1e-2, "offshell_amplitude": 0.05,
+                         "C": _default(action.gauge_invariance_check, "C")},
 }
 # checks that compare samples on the uniform RK4 grid: the path checks lift the run
 # to a phase path, hamiltonian-equivalence matches the two runs sample by sample

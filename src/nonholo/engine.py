@@ -17,11 +17,21 @@ form, from the compiled second partials of the constraints and of the base
 force.  Dual numbers reach the engine only through
 ``hamiltonian.hamiltonian_value`` under ``hamiltonian.poisson_bracket``, which
 seeds q and v with them.
+
+The float F of a run does not come from here.  ``SystemSpec.kernel`` (module
+``kernels``) compiles each system once, on first use, into straight-line
+``accel(q, v, t)`` and ``diag(q, v, t) -> (D, h, min_eig)``, which must equal
+``acceleration_raw`` and ``constraint_values`` plus ``multipliers_raw`` bit for
+bit, errors included (``tests/test_kernels.py``).  The integrator, the
+on-surface Hamiltonian flow and the action functionals call the kernel; the
+functions here stay the dual-capable reference, and serve the closed-form
+Jacobians, the projection, the Poisson brackets and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -59,6 +69,13 @@ class SystemSpec:
             raise ValueError("all masses must be positive")
         if self.forces is not None and len(self.forces) != self.n:
             raise ValueError("explicit force list length must equal dimension")
+
+    @cached_property
+    def kernel(self):
+        """The system's straight-line float kernels (``kernels.Kernel``), built on first
+        use and kept on this spec, so they live exactly as long as it does."""
+        from .kernels import build  # kernels builds on this module's solver helpers
+        return build(self)
 
 
 def make_system(
@@ -133,8 +150,10 @@ def _constraint_solve(spec: SystemSpec, q, v, t, f0):
     n = spec.n
     grads = [_expr.grad_raw(c, q, v, t) for c in cons]
     if m == 1:
-        # scalar fast path: without it float acceleration_raw ran 1.6-1.8x slower on
-        # lda_linear and lda_nonlinear (12 interleaved pairs, 2 cores, Python 3.11.7)
+        # scalar fast path, skipping eigvalsh and the elimination, for the callers that
+        # still solve here: acceleration_jacobian_raw (each off-surface extended RHS and
+        # each stationarity sample with pi != 0) and the dual-seeded Poisson brackets;
+        # the float F of a run takes the compiled kernel's unrolled copy of this branch
         dq1, dv1, dt1 = grads[0]
         g = 0.0
         b = -dt1

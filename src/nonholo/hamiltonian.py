@@ -100,7 +100,7 @@ def hamiltonian_vector_field(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 
         raise ExprDomainError("auxiliary variable e is zero")
     if all(x == 0.0 for x in pi):
         # momentum rates vanish identically with pi = 0; skip the Jacobians
-        f = engine.acceleration_raw(spec, q, v, t)
+        f = spec.kernel.accel(q, v, t)
         pd = [0.0] * n
         pid = [-x for x in p]
     else:

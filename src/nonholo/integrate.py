@@ -261,9 +261,11 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
                 f"initial constraint violation {max(abs(x) for x in d0):.3e}"
             )
 
+    # the compiled kernel: engine.acceleration_raw and the diagnostics, bit for bit
+    accel, diag = spec.kernel
+
     def f(t, y):
-        a = engine.acceleration_raw(spec, y[:n], y[n:], t)
-        return y[n:] + a
+        return y[n:] + accel(y[:n], y[n:], t)
 
     # one shared diagnostics computation per (t, state)
     memo: dict = {}
@@ -272,10 +274,7 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
         key = (t, tuple(y))
         hit = memo.get(key)
         if hit is None:
-            q, v = y[:n], y[n:]
-            d = engine.constraint_values(spec, q, v, t)
-            h, _, _, min_eig = engine.multipliers_raw(spec, q, v, t)
-            hit = (d, h, min_eig)
+            hit = diag(y[:n], y[n:], t)
             memo.clear()
             memo[key] = hit
         return hit

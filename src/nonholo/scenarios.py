@@ -165,11 +165,11 @@ def nonlinear_sleigh_guards(extended: bool = False):
     return (("yd1_sign", lambda t, y: abs(y[idx]) - NONLINEAR_V1_FLOOR),)
 
 
-def damped_oscillator_spec(omega: float, k: float, sign: int = -1) -> SystemSpec:
+def damped_oscillator_spec(omega: float, k: float, sign: float = -1) -> SystemSpec:
     """One-dimensional oscillator with velocity friction: xdd = s*omega^2*x - k^2*xd.
 
     sign = -1 is the standard damped oscillator; sign = +1 selects the
-    growing-mode variant.
+    growing-mode variant.  Any other sign, -1.5 included, is a ValueError.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
@@ -187,7 +187,7 @@ def _sleigh_builder(variant: str) -> Callable:
 
 
 def _damped_oscillator(omega=1.0, k=0.0, sign=-1):
-    return damped_oscillator_spec(omega=float(omega), k=float(k), sign=int(sign)), None
+    return damped_oscillator_spec(omega=float(omega), k=float(k), sign=sign), None
 
 
 def _vakonomic_initial_state(params: SleighParams):

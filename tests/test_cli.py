@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config validation, outputs."""
 
+import inspect
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nonholo import action
 from nonholo.cli import Run, main
 from nonholo.scenarios import SCENARIO_NAMES
 
@@ -101,6 +103,14 @@ class TestSimulate:
         cfg = base_config(tmp_path, system=system, initial={"q0": [1.0], "v0": [0.0]})
         assert main(["simulate", cfg]) == 2
         assert "system.params" in capsys.readouterr().err
+
+    def test_fractional_damped_sign_exits_two(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, system={"scenario": "damped_oscillator",
+                                            "params": {"sign": -1.5}},
+                          initial={"q0": [1.0], "v0": [0.0]}, checks=[{"type": "drift"}],
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 0.1})
+        assert main(["verify", cfg]) == 2
+        assert "system.params: sign must be -1 or +1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["sleigh", "lda_linear", "--omega", "0"], "omega must be nonzero"),
@@ -387,6 +397,15 @@ class TestLoadValidation:
         cfg = base_config(tmp_path, outputs={"trajectory_csv": str(tmp_path / "traj.csv")},
                           **{"checks": [{"type": "drift"}], **overrides})
         self._rejected_at_load(tmp_path, capsys, ["verify", cfg], field)
+
+    def test_check_defaults_are_the_api_defaults(self, tmp_path):
+        # the CLI reads C from the signatures of the check functions, never restating it
+        cfg = json.loads(Path(base_config(tmp_path, checks=[
+            {"type": "action-stationarity"}, {"type": "gauge-invariance"}])).read_text())
+        stationarity, gauge = Run(cfg, "run.json").checks
+        for check, fn in ((stationarity, action.stationarity_check),
+                          (gauge, action.gauge_invariance_check)):
+            assert check["C"] == inspect.signature(fn).parameters["C"].default
 
     def test_every_check_parameter_accepted(self, tmp_path, capsys):
         cfg = base_config(tmp_path, checks=[

@@ -169,6 +169,13 @@ class TestDampedOscillator:
         with pytest.raises(ValueError):
             damped_oscillator_spec(1.0, 1.0, sign=2)
 
+    def test_fractional_sign_rejected_not_truncated(self):
+        # config params arrive as floats; -1.5 used to load as -1
+        with pytest.raises(ValueError, match="sign must be -1 or"):
+            SCENARIOS["damped_oscillator"].build(omega=1.0, k=1.0, sign=-1.5)
+        spec, _ = SCENARIOS["damped_oscillator"].build(omega=1.3, k=0.4, sign=-1.0)
+        assert spec == damped_oscillator_spec(omega=1.3, k=0.4, sign=-1)
+
 
 class TestCatalog:
     def test_names(self):
