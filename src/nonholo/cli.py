@@ -211,9 +211,9 @@ class Run:
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
         """Extended-phase-space run from the on-surface lift of (q0, v0)."""
-        z0 = ExtendedPhasePoint(q=tuple(self.q0), p=(0.0,) * self.spec.n, v=tuple(self.v0),
-                                pi=(0.0,) * self.spec.n, e=self.e0, pi_e=0.0)
-        return integrate.integrate_hamiltonian(self.spec, z0, self.mu_e, self.cfg,
+        zeros = [0.0] * self.spec.n
+        y0 = ExtendedPhasePoint(self.q0, zeros, self.v0, zeros, self.e0, 0.0)
+        return integrate.integrate_hamiltonian(self.spec, y0, self.mu_e, self.cfg,
                                                guards=self.scenario.guards(extended=True))
 
 

@@ -30,6 +30,7 @@ Jacobians, the projection, the Poisson brackets and the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -65,8 +66,8 @@ class SystemSpec:
     def __post_init__(self):
         if len(self.mass) != self.n:
             raise ValueError("mass vector length must equal dimension")
-        if any(m <= 0 for m in self.mass):
-            raise ValueError("all masses must be positive")
+        if not all(0 < m < math.inf for m in self.mass):
+            raise ValueError("all masses must be finite and positive")
         if self.forces is not None and len(self.forces) != self.n:
             raise ValueError("explicit force list length must equal dimension")
 

@@ -13,6 +13,7 @@ numbers, which serve only the Poisson brackets (see ``hamiltonian``).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -170,7 +171,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Const(float(text))
+            val = float(text)
+            if not math.isfinite(val):
+                raise ExprSyntaxError(f"number {text!r} is beyond the float range", offset)
+            return Const(val)
         if kind == "ident":
             if text == "t":
                 return Var("t", 0)

@@ -8,15 +8,12 @@ phase space (q, p, v, pi, e, pi_e) with Hamiltonian
 On the constraint surface pi_e = 0, p = 0, pi = 0 the flow reduces to
 qd = v, vd = F (the original dynamics) plus ed = mu_e, and H vanishes.
 
-The flow and the surface residual take the flat row y = [q, p, v, pi, e, pi_e]
-that the integrator steps and the stationarity check assembles; ``pack`` and
-``unpack`` convert between that row and an ``ExtendedPhasePoint``, which
-``hamiltonian_value`` and the Poisson brackets take.
+A point of the phase space is the flat row y = [q, p, v, pi, e, pi_e]:
+H, the Poisson brackets, the flow and the surface residual take it, the
+integrator steps it, and ``ExtendedPhasePoint`` builds one from its blocks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,60 +26,38 @@ from .paths import PhasePath, diff1
 VELOCITY_NORM_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ExtendedPhasePoint:
-    """Point of the 4n+2-dimensional phase space."""
-
-    q: tuple
-    p: tuple
-    v: tuple
-    pi: tuple
-    e: float
-    pi_e: float
-
-    def __post_init__(self):
-        n = len(self.q)
-        if not (len(self.p) == len(self.v) == len(self.pi) == n):
-            raise ValueError("q, p, v, pi must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
+def ExtendedPhasePoint(q, p, v, pi, e, pi_e) -> list:
+    """The flat row [q, p, v, pi, e, pi_e] of a point of the phase space."""
+    if not (len(p) == len(v) == len(pi) == len(q)):
+        raise ValueError("q, p, v, pi must have equal length")
+    return [*q, *p, *v, *pi, e, pi_e]
 
 
-def pack(z: ExtendedPhasePoint) -> list:
-    """Flat layout [q, p, v, pi, e, pi_e]."""
-    return [*z.q, *z.p, *z.v, *z.pi, z.e, z.pi_e]
+# No caller left: kept only because perfbench/spans.py patches this name.
+def unpack(y, n: int) -> tuple:
+    """The blocks (q, p, v, pi, e, pi_e) of the flat row y."""
+    return (tuple(y[0:n]), tuple(y[n:2 * n]), tuple(y[2 * n:3 * n]),
+            tuple(y[3 * n:4 * n]), y[4 * n], y[4 * n + 1])
 
 
-def unpack(y, n: int) -> ExtendedPhasePoint:
-    return ExtendedPhasePoint(
-        q=tuple(y[0:n]), p=tuple(y[n:2 * n]), v=tuple(y[2 * n:3 * n]),
-        pi=tuple(y[3 * n:4 * n]), e=y[4 * n], pi_e=y[4 * n + 1],
-    )
-
-
-def hamiltonian_value(spec: SystemSpec, z: ExtendedPhasePoint, mu_e: float = 0.0,
-                      t: float = 0.0):
-    """H = pi^2/(2e) + pi.F + p.v + mu_e*pi_e; e must be nonzero."""
-    if value(z.e) == 0.0:
+def hamiltonian_value(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 0.0):
+    """H = pi^2/(2e) + pi.F + p.v + mu_e*pi_e at the flat row y; e must be nonzero."""
+    n = spec.n
+    q, p, v, pi, e = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n]
+    if value(e) == 0.0:
         raise ExprDomainError("auxiliary variable e is zero")
-    f = engine.acceleration_raw(spec, z.q, z.v, t)
-    n = z.n
-    acc = mu_e * z.pi_e
+    f = engine.acceleration_raw(spec, q, v, t)
+    acc = mu_e * y[4 * n + 1]
     pi2 = 0.0
     for i in range(n):
-        pi2 = pi2 + z.pi[i] * z.pi[i]
-        acc = acc + z.pi[i] * f[i] + z.p[i] * z.v[i]
-    return acc + pi2 / (2.0 * z.e)
+        pi2 = pi2 + pi[i] * pi[i]
+        acc = acc + pi[i] * f[i] + p[i] * v[i]
+    return acc + pi2 / (2.0 * e)
 
 
+# No caller left: kept only because perfbench/spans.py patches this name.
 def force_jacobians(spec: SystemSpec, q, v, t: float = 0.0):
-    """(dF/dq, dF/dv) with dfdq[j][i] = dF_j/dq_i, through the multiplier solve.
-
-    Closed form from second partials (``engine.acceleration_jacobian_raw``);
-    no dual numbers are involved.
-    """
+    """(dF/dq, dF/dv) of ``engine.acceleration_jacobian_raw``."""
     _, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, q, v, t)
     return dfdq, dfdv
 
@@ -129,34 +104,25 @@ def constraint_surface_residual(y, n: int) -> float:
     return max(map(abs, [y[4 * n + 1], *y[n:2 * n], *y[3 * n:4 * n]]))
 
 
-def _coordinate_gradient(f, z: ExtendedPhasePoint) -> dict:
-    """Exact partials of a scalar phase function by dual seeding each coordinate."""
-    n = z.n
-    out = {"q": [0.0] * n, "p": [0.0] * n, "v": [0.0] * n, "pi": [0.0] * n,
-           "e": 0.0, "pi_e": 0.0}
-
-    def du(val):
-        return val.du if isinstance(val, Dual) else 0.0
-
-    for block in ("q", "p", "v", "pi"):
-        base = getattr(z, block)
-        for i in range(n):
-            seeded = list(base)
-            seeded[i] = Dual(base[i], 1.0)
-            out[block][i] = du(f(replace(z, **{block: tuple(seeded)})))
-    out["e"] = du(f(replace(z, e=Dual(z.e, 1.0))))
-    out["pi_e"] = du(f(replace(z, pi_e=Dual(z.pi_e, 1.0))))
+def _coordinate_gradient(f, y) -> list:
+    """Exact partials of a scalar function of the row by dual seeding each entry."""
+    out = []
+    for i in range(len(y)):
+        seeded = list(y)
+        seeded[i] = Dual(y[i], 1.0)
+        val = f(seeded)
+        out.append(val.du if isinstance(val, Dual) else 0.0)
     return out
 
 
-def poisson_bracket(f, g, z: ExtendedPhasePoint) -> float:
-    """Canonical bracket {f, g} over the pairs (q, p), (v, pi), (e, pi_e)."""
-    gf = _coordinate_gradient(f, z)
-    gg = _coordinate_gradient(g, z)
-    acc = gf["e"] * gg["pi_e"] - gf["pi_e"] * gg["e"]
-    for i in range(z.n):
-        acc += gf["q"][i] * gg["p"][i] - gf["p"][i] * gg["q"][i]
-        acc += gf["v"][i] * gg["pi"][i] - gf["pi"][i] * gg["v"][i]
+def poisson_bracket(f, g, y, n: int) -> float:
+    """Canonical bracket {f, g} at the flat row y over the pairs (q, p), (v, pi), (e, pi_e)."""
+    gf = _coordinate_gradient(f, y)
+    gg = _coordinate_gradient(g, y)
+    acc = gf[4 * n] * gg[4 * n + 1] - gf[4 * n + 1] * gg[4 * n]
+    for i in range(n):
+        acc += gf[i] * gg[n + i] - gf[n + i] * gg[i]
+        acc += gf[2 * n + i] * gg[3 * n + i] - gf[3 * n + i] * gg[2 * n + i]
     return acc
 
 

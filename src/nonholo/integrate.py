@@ -13,7 +13,6 @@ import numpy as np
 from . import engine, hamiltonian
 from .engine import SystemSpec
 from .errors import InitialStateError, NonholoError, RegularityError
-from .hamiltonian import ExtendedPhasePoint
 
 EVENT_TIME_TOL = 1e-10
 INITIAL_CONSTRAINT_TOL = 1e-10
@@ -335,11 +334,15 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
 # --- extended-phase-space system -------------------------------------------------
 
-def integrate_hamiltonian(spec: SystemSpec, z0: ExtendedPhasePoint, mu_e,
-                          cfg: IntegratorConfig, guards=(), t0: float = 0.0) -> ExtendedTrajectory:
-    """Integrate the 4n+2 flow; mu_e is a time function (None means 0)."""
+def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, guards=(),
+                          t0: float = 0.0) -> ExtendedTrajectory:
+    """Integrate the 4n+2 flow from the flat row y0 = [q, p, v, pi, e, pi_e];
+    mu_e is a time function (None means 0)."""
     n = spec.n
-    if z0.e == 0.0:
+    y0 = [float(x) for x in y0]
+    if len(y0) != 4 * n + 2:
+        raise ValueError("initial data dimension mismatch")
+    if y0[4 * n] == 0.0:
         raise InitialStateError("e(0) must be nonzero")
     if mu_e is None:
         mu_e = lambda t: 0.0
@@ -355,9 +358,8 @@ def integrate_hamiltonian(spec: SystemSpec, z0: ExtendedPhasePoint, mu_e,
         residuals.append(hamiltonian.constraint_surface_residual(y, n))
         return None
 
-    y0 = hamiltonian.pack(z0)
     accept(t0, y0)
-    e_sign = 1.0 if z0.e > 0 else -1.0
+    e_sign = 1.0 if y0[4 * n] > 0 else -1.0
     run_guards = [("e_zero_crossing", lambda t, y: e_sign * y[4 * n])] + list(guards)
     termination = _drive(f, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)

@@ -27,7 +27,6 @@ such numbers (friction k, masses, ``eps_reg``) share one ``compile()``.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -73,9 +72,6 @@ class _Body:
     def node(self, node) -> str:
         """Name or literal holding the node's value, computed in evaluation order."""
         if isinstance(node, Const):
-            if not math.isfinite(node.value):
-                # emitted as expr._emit emits it: a NameError where it is evaluated
-                return self.bind(f"({node.value!r})")
             return self.constants.literal(node.value)
         if isinstance(node, Var):
             return "t" if node.kind == "t" else f"{node.kind}{node.index - 1}"

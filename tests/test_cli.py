@@ -333,6 +333,8 @@ BAD_CONFIGS = {
     "initial_list": ({"initial": []}, "initial"),
     "force_number": ({"system": {"n": 1, "masses": [1], "forces": [1]},
                       "initial": {"q0": [1.0], "v0": [0.0]}}, "system.forces"),
+    "force_literal_inf": ({"system": {"n": 1, "masses": [1], "forces": ["1e999*q1"]},
+                           "initial": {"q0": [1.0], "v0": [0.0]}}, "system: number '1e999'"),
     "v0_string": ({"initial": {"q0": [0, 0, 0], "v0": ["a", 0, 0]}}, "initial.v0"),
     "tolerance_string": ({"checks": [{"type": "drift"}, {"type": "drift", "tolerance": "x"}]},
                          "checks[1].tolerance"),

@@ -151,6 +151,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_system(1, (0.0,))
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mass(self, mass):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_system(1, (mass,), forces=("-q1",))
+
     def test_potential_and_forces_exclusive(self):
         with pytest.raises(ValueError):
             make_system(1, (1.0,), potential="q1^2", forces=("q1",))

@@ -73,6 +73,11 @@ class TestParse:
         e = parse_expression("1e-3 + 2.5E2", 0)
         assert e._fn((), (), 0.0) == pytest.approx(250.001)
 
+    def test_literal_beyond_the_float_range(self):
+        with pytest.raises(ExprSyntaxError, match="float range") as exc:
+            parse_expression("2*q1 + 1e999*q1", 1)
+        assert exc.value.offset == 7
+
     def test_time_variable(self):
         e = parse_expression("t^2", 0)
         assert e._fn((), (), 3.0) == 9.0

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
 from nonholo import action, engine, hamiltonian, integrate
@@ -13,17 +15,16 @@ from nonholo.errors import ExprDomainError, RegularityError, VanishingVelocity
 from nonholo.hamiltonian import (
     ExtendedPhasePoint,
     constraint_surface_residual,
-    force_jacobians,
     gauge_transform,
     hamiltonian_value,
     hamiltonian_vector_field,
-    pack,
     poisson_bracket,
     unpack,
 )
 from nonholo.integrate import IntegratorConfig, integrate_hamiltonian
 from nonholo.paths import PhasePath
 from nonholo.scenarios import SleighParams, build_sleigh_spec
+from test_kernels import _coordinate, _systems
 
 
 def free_particle(n=2):
@@ -57,70 +58,68 @@ class TestHamiltonianValue:
         with pytest.raises(ExprDomainError):
             hamiltonian_value(spec, point(e=0.0))
         with pytest.raises(ExprDomainError):
-            hamiltonian_vector_field(spec, pack(point(e=0.0)))
+            hamiltonian_vector_field(spec, point(e=0.0))
 
-    def test_pack_unpack_roundtrip(self):
-        z = point(q=(1.0, 2.0), p=(3.0, 4.0), v=(5.0, 6.0), pi=(7.0, 8.0),
+
+class TestRow:
+    def test_layout(self):
+        y = point(q=(1.0, 2.0), p=(3.0, 4.0), v=(5.0, 6.0), pi=(7.0, 8.0),
                   e=9.0, pi_e=10.0)
-        assert unpack(pack(z), 2) == z
+        assert y == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        assert unpack(y, 2) == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0), 9.0, 10.0)
+
+    @pytest.mark.parametrize("block", ["p", "v", "pi"])
+    def test_unequal_blocks_rejected(self, block):
+        with pytest.raises(ValueError, match="equal length"):
+            point(**{block: (0.0,)})
 
 
 class TestVectorField:
     def test_on_surface_reduces_to_second_order_flow(self):
         spec = make_system(2, (1.0, 1.0), forces=("0-q1", "0-q2"))
         z = point(q=(1.0, 0.5), v=(0.2, -0.3))
-        field = hamiltonian_vector_field(spec, pack(z), mu_e=0.4)
-        zd = unpack(field, 2)
-        assert zd.q == pytest.approx((0.2, -0.3), abs=1e-15)
-        assert zd.v == pytest.approx((-1.0, -0.5), abs=1e-15)
-        assert zd.p == (0.0, 0.0)
-        assert zd.pi == (0.0, 0.0)
-        assert zd.e == 0.4
-        assert zd.pi_e == 0.0
+        qd, pd, vd, pid, ed, pi_ed = unpack(hamiltonian_vector_field(spec, z, mu_e=0.4), 2)
+        assert qd == pytest.approx((0.2, -0.3), abs=1e-15)
+        assert vd == pytest.approx((-1.0, -0.5), abs=1e-15)
+        assert pd == (0.0, 0.0)
+        assert pid == (0.0, 0.0)
+        assert ed == 0.4
+        assert pi_ed == 0.0
 
     def test_off_surface_momentum_rates(self):
         # F = (q2*v1, 0): dF1/dq2 = v1, dF1/dv1 = q2
         spec = make_system(2, (1.0, 1.0), forces=("q2*v1", "0"))
         z = point(q=(0.0, 2.0), p=(0.1, 0.2), v=(3.0, 0.0), pi=(1.0, 0.0), e=1.0)
-        zd = unpack(hamiltonian_vector_field(spec, pack(z)), 2)
-        assert zd.p[0] == pytest.approx(0.0, abs=1e-14)       # dF1/dq1 = 0
-        assert zd.p[1] == pytest.approx(-3.0, abs=1e-14)      # -pi1*dF1/dq2
-        assert zd.pi[0] == pytest.approx(-0.1 - 2.0, abs=1e-14)
-        assert zd.pi[1] == pytest.approx(-0.2, abs=1e-14)
-        assert zd.v[0] == pytest.approx(1.0 + 6.0, abs=1e-14)  # pi1/e + F1
-        assert zd.pi_e == pytest.approx(0.5, abs=1e-14)
+        _, pd, vd, pid, _, pi_ed = unpack(hamiltonian_vector_field(spec, z), 2)
+        assert pd[0] == pytest.approx(0.0, abs=1e-14)       # dF1/dq1 = 0
+        assert pd[1] == pytest.approx(-3.0, abs=1e-14)      # -pi1*dF1/dq2
+        assert pid[0] == pytest.approx(-0.1 - 2.0, abs=1e-14)
+        assert pid[1] == pytest.approx(-0.2, abs=1e-14)
+        assert vd[0] == pytest.approx(1.0 + 6.0, abs=1e-14)  # pi1/e + F1
+        assert pi_ed == pytest.approx(0.5, abs=1e-14)
 
     def test_field_matches_bracket_with_hamiltonian(self):
-        # zd_x = {x, H} for each coordinate function x
+        # yd_k = {y_k, H} for each entry y_k of the row
         spec = make_system(1, (2.0,), potential="q1^2")
-        z = ExtendedPhasePoint(q=(0.7,), p=(0.3,), v=(1.1,), pi=(0.4,),
-                               e=1.3, pi_e=0.2)
+        y = ExtendedPhasePoint(q=(0.7,), p=(0.3,), v=(1.1,), pi=(0.4,), e=1.3, pi_e=0.2)
         mu = 0.6
         H = lambda w: hamiltonian_value(spec, w, mu_e=mu)
-        zd = unpack(hamiltonian_vector_field(spec, pack(z), mu_e=mu), 1)
-        assert poisson_bracket(lambda w: w.q[0], H, z) == pytest.approx(zd.q[0], rel=1e-10)
-        assert poisson_bracket(lambda w: w.p[0], H, z) == pytest.approx(zd.p[0], rel=1e-10)
-        assert poisson_bracket(lambda w: w.v[0], H, z) == pytest.approx(zd.v[0], rel=1e-10)
-        assert poisson_bracket(lambda w: w.pi[0], H, z) == pytest.approx(zd.pi[0], rel=1e-10)
-        assert poisson_bracket(lambda w: w.e, H, z) == pytest.approx(zd.e, rel=1e-10)
-        assert poisson_bracket(lambda w: w.pi_e, H, z) == pytest.approx(zd.pi_e, rel=1e-10)
+        yd = hamiltonian_vector_field(spec, y, mu_e=mu)
+        for k in range(6):
+            assert poisson_bracket(lambda w: w[k], H, y, 1) == pytest.approx(yd[k], rel=1e-10)
 
 
 class TestFlatRow:
     def test_integrator_and_stationarity_pass_rows(self, monkeypatch):
-        # the RK stages and the stationarity check hand the flow their flat rows: no
-        # ExtendedPhasePoint is built, and the flow runs once per RHS and once per sample
-        calls = {"unpack": 0, "field": 0, "rhs": 0}
+        # the RK stages and the stationarity check hand the flow their flat rows, and
+        # the flow runs once per RHS and once per sample
+        calls = {"field": 0, "rhs": 0}
+        field = hamiltonian.hamiltonian_vector_field
 
-        def counted(name, key):
-            fn = getattr(hamiltonian, name)
-
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            monkeypatch.setattr(hamiltonian, name, wrapper)
-        counted("unpack", "unpack")
-        counted("hamiltonian_vector_field", "field")
+        def counting_field(*args):
+            calls["field"] += 1
+            return field(*args)
+        monkeypatch.setattr(hamiltonian, "hamiltonian_vector_field", counting_field)
         drive = integrate._drive
 
         def counting_drive(f, *args):
@@ -136,16 +135,16 @@ class TestFlatRow:
         ext = integrate_hamiltonian(spec, z0, lambda t: 0.1,
                                     IntegratorConfig(method="rk4", dt=0.01, t_end=0.1))
         assert ext.termination.kind == "completed"
-        assert calls == {"unpack": 0, "field": 40, "rhs": 40}
+        assert calls == {"field": 40, "rhs": 40}
         rkf = integrate_hamiltonian(spec, z0, lambda t: 0.1,
                                     IntegratorConfig(method="rkf45", dt=0.01, t_end=0.1))
         assert rkf.termination.kind == "completed"
-        assert calls["unpack"] == 0 and calls["field"] == calls["rhs"] > 40
+        assert calls["field"] == calls["rhs"] > 40
         path = PhasePath(times=ext.times, q=ext.q, p=ext.p, v=ext.v, pi=ext.pi, e=ext.e,
                          pi_e=ext.pi_e, mu_e=np.full(len(ext.times), 0.1))
         before = calls["field"]
         action.stationarity_check(spec, path)
-        assert calls["unpack"] == 0 and calls["field"] == before + len(path.times) == before + 11
+        assert calls["field"] == before + len(path.times) == before + 11
 
 
 def dual_seeded_jacobians(spec, q, v, t):
@@ -177,7 +176,7 @@ JACOBIAN_SYSTEMS = {
 
 
 def assert_jacobians_close(spec, q, v, t):
-    got = force_jacobians(spec, q, v, t)
+    got = engine.acceleration_jacobian_raw(spec, q, v, t)[1:]
     want = dual_seeded_jacobians(spec, q, v, t)
     for got_m, want_m in zip(got, want):
         for got_row, want_row in zip(got_m, want_m):
@@ -193,7 +192,7 @@ class TestForceJacobians:
         for _ in range(20):
             q = rng.uniform(-1, 1, 3)
             v = rng.uniform(0.5, 1.5, 3)
-            dfdq, dfdv = force_jacobians(spec, list(q), list(v))
+            _, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, list(q), list(v), 0.0)
             h = 1e-6
             for i in range(3):
                 for arrs, jac in ((q, dfdq), (v, dfdv)):
@@ -236,55 +235,82 @@ class TestForceJacobians:
         with pytest.raises(error):
             dual_seeded_jacobians(spec, q, v, 0.0)
         with pytest.raises(error):
-            force_jacobians(spec, q, v, 0.0)
+            engine.acceleration_jacobian_raw(spec, q, v, 0.0)
+
+
+# the row entries of the n = 2 points below
+Q1, Q2, P1, P2, V1, V2, PI1, PI2, E, PI_E = range(10)
 
 
 class TestBrackets:
-    def z(self):
+    def y(self):
         return ExtendedPhasePoint(q=(0.3, -0.2), p=(0.7, 0.1), v=(1.2, 0.5),
                                   pi=(0.4, -0.6), e=1.5, pi_e=0.9)
 
     def test_canonical_pairs(self):
-        z = self.z()
-        assert poisson_bracket(lambda w: w.q[0], lambda w: w.p[0], z) == pytest.approx(1.0, abs=1e-12)
-        assert poisson_bracket(lambda w: w.v[1], lambda w: w.pi[1], z) == pytest.approx(1.0, abs=1e-12)
-        assert poisson_bracket(lambda w: w.e, lambda w: w.pi_e, z) == pytest.approx(1.0, abs=1e-12)
-        assert poisson_bracket(lambda w: w.q[0], lambda w: w.p[1], z) == pytest.approx(0.0, abs=1e-12)
-        assert poisson_bracket(lambda w: w.q[0], lambda w: w.pi[0], z) == pytest.approx(0.0, abs=1e-12)
+        y = self.y()
+        for a, b, want in ((Q1, P1, 1.0), (V2, PI2, 1.0), (E, PI_E, 1.0), (Q1, P2, 0.0),
+                           (Q1, PI1, 0.0)):
+            got = poisson_bracket(lambda w: w[a], lambda w: w[b], y, 2)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_antisymmetry(self):
-        z = self.z()
-        f = lambda w: w.q[0] * w.pi[1] + w.e ** 2
-        g = lambda w: w.p[0] * w.v[0] + w.pi_e * w.q[1]
-        assert poisson_bracket(f, g, z) == pytest.approx(-poisson_bracket(g, f, z), abs=1e-8)
+        y = self.y()
+        f = lambda w: w[Q1] * w[PI2] + w[E] ** 2
+        g = lambda w: w[P1] * w[V1] + w[PI_E] * w[Q2]
+        assert poisson_bracket(f, g, y, 2) == pytest.approx(-poisson_bracket(g, f, y, 2),
+                                                            abs=1e-8)
 
     def test_leibniz_rule(self):
-        z = self.z()
-        f = lambda w: w.q[0] + w.v[1] * w.e
-        g = lambda w: w.p[0] * w.p[0] + w.pi_e
-        h = lambda w: w.pi[0] * w.q[1] + w.v[0]
-        lhs = poisson_bracket(f, lambda w: g(w) * h(w), z)
-        rhs = poisson_bracket(f, g, z) * h(z) + g(z) * poisson_bracket(f, h, z)
+        y = self.y()
+        f = lambda w: w[Q1] + w[V2] * w[E]
+        g = lambda w: w[P1] * w[P1] + w[PI_E]
+        h = lambda w: w[PI1] * w[Q2] + w[V1]
+        lhs = poisson_bracket(f, lambda w: g(w) * h(w), y, 2)
+        rhs = poisson_bracket(f, g, y, 2) * h(y) + g(y) * poisson_bracket(f, h, y, 2)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_surface_functions_pairwise_involutive(self):
         # pi_e, p_i, pi_i all commute with each other
-        z = self.z()
-        fns = [lambda w: w.pi_e,
-               lambda w: w.p[0], lambda w: w.p[1],
-               lambda w: w.pi[0], lambda w: w.pi[1]]
-        for a in fns:
-            for b in fns:
-                assert abs(poisson_bracket(a, b, z)) <= 1e-12
+        y = self.y()
+        for a in (PI_E, P1, P2, PI1, PI2):
+            for b in (PI_E, P1, P2, PI1, PI2):
+                assert abs(poisson_bracket(lambda w: w[a], lambda w: w[b], y, 2)) <= 1e-12
+
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), spec=_systems())
+def test_brackets_with_h_on_generated_systems(data, spec):
+    # Dirac consistency of the surface functions: {p_i, H} = -sum_j pi_j dF_j/dq_i,
+    # {pi_i, H} = -p_i - sum_j pi_j dF_j/dv_i, {pi_e, H} = pi^2/(2 e^2) off the surface
+    n = spec.n
+    q, p, v, pi = (data.draw(st.lists(_coordinate, min_size=n, max_size=n)) for _ in range(4))
+    e = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.5, 2.0))
+    pi_e, mu, t = data.draw(_coordinate), data.draw(_coordinate), data.draw(_coordinate)
+    y = ExtendedPhasePoint(q, p, v, pi, e, pi_e)
+    H = lambda w: hamiltonian_value(spec, w, mu, t)
+    try:
+        _, dfdq, dfdv = engine.acceleration_jacobian_raw(spec, q, v, t)
+        brackets = [poisson_bracket(lambda w: w[k], H, y, n) for k in range(len(y))]
+    except (ExprDomainError, RegularityError):
+        assume(False)
+    for i in range(n):
+        _close(brackets[n + i], -sum(pi[j] * dfdq[j][i] for j in range(n)))
+        _close(brackets[3 * n + i], -p[i] - sum(pi[j] * dfdv[j][i] for j in range(n)))
+    _close(brackets[4 * n + 1], sum(x * x for x in pi) / (2.0 * e * e))
 
 
 class TestSurfaceResidual:
     def test_zero_on_surface(self):
-        assert constraint_surface_residual(pack(point(q=(1.0, 2.0), v=(3.0, 4.0))), 2) == 0.0
+        assert constraint_surface_residual(point(q=(1.0, 2.0), v=(3.0, 4.0)), 2) == 0.0
 
     def test_max_norm(self):
-        z = point(p=(0.1, -0.3), pi=(0.2, 0.0), pi_e=0.05)
-        assert constraint_surface_residual(pack(z), 2) == pytest.approx(0.3, abs=1e-15)
+        y = point(p=(0.1, -0.3), pi=(0.2, 0.0), pi_e=0.05)
+        assert constraint_surface_residual(y, 2) == pytest.approx(0.3, abs=1e-15)
 
 
 def straight_line_path(n_steps=200, dt=0.01, v=(1.0, 0.5)):

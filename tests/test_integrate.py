@@ -195,6 +195,13 @@ class TestHamiltonianFlow:
         with pytest.raises(InitialStateError):
             integrate_hamiltonian(spec, z0, None, IntegratorConfig())
 
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_row_of_wrong_length_rejected(self, length):
+        # n = 1 takes rows of 4n + 2 = 6 entries
+        with pytest.raises(ValueError, match="dimension"):
+            integrate_hamiltonian(make_system(1, (1.0,)), [1.0] * length, None,
+                                  IntegratorConfig())
+
     def test_e_zero_crossing_event(self):
         spec = make_system(1, (1.0,))
         z0 = self.on_surface_start(1, (0.0,), (1.0,), e0=1.0)
