@@ -109,7 +109,10 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
         return Dual(e, e * x.du)
-    return math.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ExprDomainError("exp overflows the float range") from None
 
 
 def log(x):
@@ -145,7 +148,10 @@ def ipow(x, n: int):
     if n < 0:
         if value(x) == 0.0:
             raise ExprDomainError("zero raised to a negative power")
-        return 1.0 / ipow(x, -n)
+        d = ipow(x, -n)
+        if value(d) == 0.0:
+            raise ExprDomainError("negative power overflows: the positive power underflows to zero")
+        return 1.0 / d
     result = x
     n -= 1
     base = x

@@ -18,14 +18,16 @@ force.  Dual numbers reach the engine only through
 ``hamiltonian.hamiltonian_value`` under ``hamiltonian.poisson_bracket``, which
 seeds q and v with them.
 
-The float F of a run does not come from here.  ``SystemSpec.kernel`` (module
-``kernels``) compiles each system once, on first use, into straight-line
-``accel(q, v, t)`` and ``diag(q, v, t) -> (D, h, min_eig)``, which must equal
-``acceleration_raw`` and ``constraint_values`` plus ``multipliers_raw`` bit for
-bit, errors included (``tests/test_kernels.py``).  The integrator, the
-on-surface Hamiltonian flow and the action functionals call the kernel; the
-functions here stay the dual-capable reference, and serve the closed-form
-Jacobians, the projection, the Poisson brackets and the tests.
+The float F of a run, and its Jacobians, do not come from here.
+``SystemSpec.kernel`` (module ``kernels``) compiles each system once, on first
+use, into straight-line ``accel(q, v, t)`` and ``diag(q, v, t) -> (D, h,
+min_eig)``, and ``SystemSpec.jacobian_kernel`` into ``jac(q, v, t) -> (F, dfdq,
+dfdv)`` on the first off-surface call.  They must equal ``acceleration_raw``,
+``constraint_values`` plus ``multipliers_raw`` and ``acceleration_jacobian_raw``
+bit for bit, errors included (``tests/test_kernels.py``).  The integrator, the
+Hamiltonian flow and the action functionals call the kernels; the functions
+here stay the dual-capable reference, and serve the projection, the Poisson
+brackets and the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 
 import numpy as np
 
@@ -77,6 +78,14 @@ class SystemSpec:
         use and kept on this spec, so they live exactly as long as it does."""
         from .kernels import build  # kernels builds on this module's solver helpers
         return build(self)
+
+    @cached_property
+    def jacobian_kernel(self):
+        """The system's straight-line ``jac(q, v, t) -> (F, dfdq, dfdv)``; built apart
+        from ``kernel``, on first use (only off-surface flows call it), and kept on this
+        spec."""
+        from .kernels import build_jacobian
+        return build_jacobian(self)
 
 
 def make_system(
@@ -152,9 +161,8 @@ def _constraint_solve(spec: SystemSpec, q, v, t, f0):
     grads = [_expr.grad_raw(c, q, v, t) for c in cons]
     if m == 1:
         # scalar fast path, skipping eigvalsh and the elimination, for the callers that
-        # still solve here: acceleration_jacobian_raw (each off-surface extended RHS and
-        # each stationarity sample with pi != 0) and the dual-seeded Poisson brackets;
-        # the float F of a run takes the compiled kernel's unrolled copy of this branch
+        # still solve here: the dual-seeded Poisson brackets and the reference functions;
+        # a run takes the compiled kernels' unrolled copy of this branch
         dq1, dv1, dt1 = grads[0]
         g = 0.0
         b = -dt1
@@ -232,6 +240,15 @@ def _base_force_jacobian(spec: SystemSpec, q, v, t):
     return [dq + dv for dq, dv, _ in (_expr.grad_raw(f, q, v, t) for f in spec.forces)]
 
 
+def _dot(a, b):
+    """sum_i a_i b_i from 0.0, left to right: the builtin ``sum`` of floats is
+    compensated from Python 3.12 on, the kernels' chains are not."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc = acc + x * y
+    return acc
+
+
 def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
     """(F, dfdq, dfdv): the total acceleration F, bit for bit as ``acceleration_raw``
     gives it, and its Jacobians dfdq[j][i] = dF_j/dq_i, from one constraint solve.
@@ -275,10 +292,10 @@ def acceleration_jacobian_raw(spec: SystemSpec, q, v, t):
                     continue
                 x = index - 1 if kind == "q" else n + index - 1
                 hq, gdot, ht = _expr.grad_raw(dcon, q, v, t)  # gdot = d(g_a)/dx
-                ra[x] -= ht + sum(map(mul, hq, v)) + sum(map(mul, gdot, f0_m))
+                ra[x] -= ht + _dot(hq, v) + _dot(gdot, f0_m)
                 # Gdot_ab = c_ab + c_ba with c_ab = sum_i gdot_ai g_bi/m_i
                 for b, gb_m in enumerate(g_m):
-                    c_ab = sum(map(mul, gdot, gb_m))
+                    c_ab = _dot(gdot, gb_m)
                     ra[x] -= c_ab * h[b]
                     rhs[b][x] -= c_ab * ha
                 for j in range(n):

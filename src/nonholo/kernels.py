@@ -1,23 +1,37 @@
 """Straight-line float kernels of one system, generated from its expression trees.
 
-``SystemSpec.kernel`` builds a :class:`Kernel` on first use and keeps it on the
-spec.  Its two functions serve every float caller of F:
+Three generated functions serve every float caller of F and of its Jacobians:
 
 * ``accel(q, v, t)``, bit for bit ``engine.acceleration_raw``;
 * ``diag(q, v, t) -> (D, h, min_eig)``, bit for bit ``engine.constraint_values``
-  followed by ``engine.multipliers_raw``.
+  followed by ``engine.multipliers_raw``;
+* ``jac(q, v, t) -> (F, dfdq, dfdv)``, bit for bit ``engine.acceleration_jacobian_raw``.
 
-The generated source runs the generic operations in the generic order: the
-constraint values (``diag`` only), then the forces, then the partials of each
-constraint in ``expr.partial_exprs`` order.  Each tree becomes one statement
-per node, through the ``expr._NS`` helpers that the compiled expressions call
+``SystemSpec.kernel`` builds ``accel`` and ``diag`` on first use and keeps them
+on the spec.  ``SystemSpec.jacobian_kernel`` builds ``jac`` apart, on the first
+off-surface (pi != 0) flow evaluation, because only such flows call it and its
+source, with the second partials of every constraint, takes 0.4-0.8 ms to
+generate on the sleigh systems and the wheel: a cost that CLI ``verify``, which
+builds a fresh spec per config and stays on the surface, would otherwise pay.
+
+The generated source runs the generic operations in the generic order.  All
+three functions share one prefix: the constraint values (``diag`` only), then
+the forces, then the partials of each constraint in ``expr.partial_exprs``
+order, the Gram matrix with its regularity check and the multipliers h.
+``jac`` goes on with the partials of each force (the ``t`` entry computed and
+dropped, as ``grad_raw`` does), then for each non-``t`` partial of each
+constraint its own partials and the updates of the right-hand sides and of
+the Jacobian rows they feed, each update a fresh local in the loop order of
+``engine.acceleration_jacobian_raw``.  Each tree becomes one statement per
+node, through the ``expr._NS`` helpers that the compiled expressions call
 (``tan`` is sin/cos with its pole guard, ``^`` is ``dual.power``, ``/`` is the
 guarded division); a subtree already computed earlier in that order is
-reused, which is exact because the helpers are pure.  The Gram sums, the
-right-hand sides and the total force accumulate in the loop order of
-``engine``, absent partials entering as 0.0, so signed zeros, NaN and the
-first error raised are those of the generic path.  For m != 1 the Gram
-matrix goes through ``engine._gram_min_eig`` and ``engine._solve_linear``.
+reused, which is exact because the helpers are pure.  Sums accumulate as flat
+left-to-right chains from 0.0, absent partials entering as 0.0, so signed
+zeros, NaN and the first error raised are those of the generic path.  For
+m != 1 the Gram matrix goes through ``engine._gram_min_eig`` and
+``engine._solve_linear``, and the 2n Jacobian directions through one
+``np.linalg.solve``.
 
 Every finite constant -- the masses, ``eps_reg`` and the literals of the
 trees -- is an argument of a generated ``make(...)`` factory, and the
@@ -29,6 +43,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import engine
 from .errors import RegularityError
@@ -67,7 +83,7 @@ class _Body:
     def __init__(self, constants: _Constants):
         self.constants = constants
         self.lines = []
-        self._names = {}  # source of a computed node -> its local
+        self._names = {}  # source of a computed value -> its local
 
     def node(self, node) -> str:
         """Name or literal holding the node's value, computed in evaluation order."""
@@ -89,37 +105,56 @@ class _Body:
         return self.bind(source)
 
     def bind(self, source: str) -> str:
+        """A local holding the value of source; every local is assigned once, so equal
+        source means equal value."""
         name = self._names.get(source)
         if name is None:
             name = self._names[source] = f"x{len(self._names)}"
             self.lines.append(f"{name} = {source}")
         return name
 
-
-def _function(spec, constants: _Constants, diag: bool) -> list[str]:
-    """Source lines of ``accel`` (diag False) or ``diag``, indented for ``make``."""
-    n = spec.n
-    cons = spec.constraints.exprs
-    m = len(cons)
-    body = _Body(constants)
-    mass = [f"m{i}" for i in range(n)]
-    values = [body.node(c.root) for c in cons] if diag else []
-    if spec.forces is None:
-        f0 = ["0.0"] * n
-    else:
-        f0 = [body.node(f.root) for f in spec.forces]
-    grads = []
-    for con in cons:
+    def grad(self, expr, n: int) -> tuple[list, list, str]:
+        """(dq, dv, dt) as ``expr.grad_raw`` evaluates them: every entry of
+        ``partial_exprs`` in its order, an absent partial 0.0."""
         dq, dv, dt = ["0.0"] * n, ["0.0"] * n, "0.0"
-        for kind, index, d in partial_exprs(con):
-            name = body.node(d.root)
+        for kind, index, d in partial_exprs(expr):
+            name = self.node(d.root)
             if kind == "q":
                 dq[index - 1] = name
             elif kind == "v":
                 dv[index - 1] = name
             else:
                 dt = name
-        grads.append((dq, dv, dt))
+        return dq, dv, dt
+
+
+def _dot(a: list, b: list) -> str:
+    """Flat chain of the left-to-right sum from 0.0, every term kept (0.0 * inf is NaN)."""
+    return "(0.0" + "".join(f" + {x} * {y}" for x, y in zip(a, b)) + ")"
+
+
+class _Solved(NamedTuple):
+    """Names the shared prefix binds."""
+    values: list  # D_a (diag only)
+    f0: list
+    grads: list  # (dq, dv, dt) of each constraint
+    h: list
+    total: list  # source of each F_i
+
+
+def _solve(spec, body: _Body, diag: bool) -> _Solved:
+    """Emit the prefix of all three functions: the constraint values (diag only), the
+    forces, the constraint partials, the Gram matrix with its regularity check, and h."""
+    n = spec.n
+    cons = spec.constraints.exprs
+    m = len(cons)
+    mass = [f"m{i}" for i in range(n)]
+    values = [body.node(c.root) for c in cons] if diag else []
+    if spec.forces is None:
+        f0 = ["0.0"] * n
+    else:
+        f0 = [body.node(f.root) for f in spec.forces]
+    grads = [body.grad(con, n) for con in cons]
     out = body.lines
 
     # flat left-associative chains: the generic loops' association, no nesting limit
@@ -150,30 +185,94 @@ def _function(spec, constants: _Constants, diag: bool) -> list[str]:
         out += [f"gram = [{', '.join(rows)}]",
                 "min_eig = _gram_min_eig(gram)",
                 "if min_eig < eps:",
-                f"    {_REGULARITY}",
-                f"h = _solve_linear(gram, [{', '.join(rhs(a) for a in range(m))}])"]
-    if diag:
-        out.append(f"return [{', '.join(values)}], {'[h0]' if m == 1 else 'h'}, min_eig")
-        return out
-    if m > 1:
-        out.append(f"{', '.join(h)} = h")
+                f"    {_REGULARITY}"]
+        if m:
+            out.append(f"{', '.join(h)}, = _solve_linear(gram, "
+                       f"[{', '.join(rhs(a) for a in range(m))}])")
     total = ["(" + f0[i] + "".join(f" + {h[a]} * {grads[a][1][i]}" for a in range(m))
              + f") / {mass[i]}" for i in range(n)]
-    out.append(f"return [{', '.join(total)}]")
-    return out
+    return _Solved(values, f0, grads, h, total)
 
 
-def _source(spec) -> tuple[str, list]:
-    """(source of ``make``, the values of its arguments) for a system."""
+def _accel(spec, body: _Body) -> list[str]:
+    solved = _solve(spec, body, diag=False)
+    return body.lines + [f"return [{', '.join(solved.total)}]"]
+
+
+def _diag(spec, body: _Body) -> list[str]:
+    solved = _solve(spec, body, diag=True)
+    return body.lines + [f"return [{', '.join(solved.values)}], [{', '.join(solved.h)}], min_eig"]
+
+
+def _jac(spec, body: _Body) -> list[str]:
+    """``jac``: the closed-form derivative of the multiplier solve, in the loop order of
+    ``engine.acceleration_jacobian_raw`` (see there for the formulas)."""
+    n = spec.n
+    cons = spec.constraints.exprs
+    m = len(cons)
+    solved = _solve(spec, body, diag=False)
+    f0, grads, h = solved.f0, solved.grads, solved.h
+    bind = body.bind
+    # jac[j][x] = m_j dF_j/dx over x = q_1..q_n, v_1..v_n, once complete
+    if spec.forces is None:
+        jac = [["0.0"] * (2 * n) for _ in range(n)]
+    else:
+        jac = [dq + dv for dq, dv, _ in (body.grad(f, n) for f in spec.forces)]
+    if m:
+        g_m = [[bind(f"{dv[i]} / m{i}") for i in range(n)] for _, dv, _ in grads]
+        f0_m = [bind(f"{f0[i]} / m{i}") for i in range(n)]
+        rhs = []
+        for ga_m, (dqa, _, _) in zip(g_m, grads):
+            ra = ["0.0"] * n + [bind(f"(-{d})") for d in dqa]
+            for c, row in zip(ga_m, jac):
+                ra = [bind(f"{r} - {c} * {d}") for r, d in zip(ra, row)]
+            rhs.append(ra)
+        v = [f"v{i}" for i in range(n)]
+        for a, con in enumerate(cons):
+            ra = rhs[a]
+            for kind, index, dcon in partial_exprs(con):
+                if kind == "t":
+                    continue
+                x = index - 1 if kind == "q" else n + index - 1
+                hq, gdot, ht = body.grad(dcon, n)
+                ra[x] = bind(f"{ra[x]} - ({ht} + {_dot(hq, v)} + {_dot(gdot, f0_m)})")
+                for b, gb_m in enumerate(g_m):  # b == a updates ra[x] twice
+                    c_ab = bind(_dot(gdot, gb_m))
+                    ra[x] = bind(f"{ra[x]} - {c_ab} * {h[b]}")
+                    rhs[b][x] = bind(f"{rhs[b][x]} - {c_ab} * {h[a]}")
+                for j in range(n):
+                    jac[j][x] = bind(f"{jac[j][x]} + {h[a]} * {gdot[j]}")
+        if m == 1:
+            hdot = [[bind(f"{r} / min_eig") for r in rhs[0]]]
+        else:
+            # one LU factorisation of G serves every direction
+            hdot = [[f"hd{a}_{x}" for x in range(2 * n)] for a in range(m)]
+            targets = ", ".join(f"[{', '.join(row)}]" for row in hdot)
+            rows = ", ".join(f"[{', '.join(row)}]" for row in rhs)
+            body.lines.append(f"{targets}, = _lu_solve(_array(gram), _array([{rows}])).tolist()")
+        for (_, ga, _), hdot_a in zip(grads, hdot):
+            for j in range(n):
+                jac[j] = [bind(f"{f} + {hd} * {ga[j]}") for f, hd in zip(jac[j], hdot_a)]
+
+    def block(xs) -> str:
+        return "[" + ", ".join("[" + ", ".join(f"{row[x]} / m{j}" for x in xs) + "]"
+                               for j, row in enumerate(jac)) + "]"
+    return body.lines + [f"return [{', '.join(solved.total)}], "
+                         f"{block(range(n))}, {block(range(n, 2 * n))}"]
+
+
+def _source(spec, emitters: dict) -> tuple[str, list]:
+    """(source of ``make``, the values of its arguments): ``make`` returns the functions
+    that ``emitters`` (name -> source lines of the body) generate, in that order."""
     constants = _Constants(spec)
-    functions = {name: _function(spec, constants, name == "diag") for name in ("accel", "diag")}
+    bodies = {name: emit(spec, _Body(constants)) for name, emit in emitters.items()}
     unpack = [f"{', '.join(f'{k}{i}' for i in range(spec.n))}, = {k}"
               for k in "qv" if spec.n]
     lines = [f"def make({', '.join(constants.names)}):"]
-    for name, body in functions.items():
+    for name, body in bodies.items():
         lines.append(f"    def {name}(q, v, t):")
         lines += [f"        {line}" for line in unpack + body]
-    lines.append("    return accel, diag")
+    lines.append(f"    return {', '.join(bodies)},")
     return "\n".join(lines) + "\n", constants.values
 
 
@@ -181,12 +280,23 @@ def _source(spec) -> tuple[str, list]:
 def _factory(text: str) -> Callable:
     """The compiled ``make`` of a kernel source."""
     namespace = dict(_NS, RegularityError=RegularityError,
-                     _gram_min_eig=engine._gram_min_eig, _solve_linear=engine._solve_linear)
+                     _gram_min_eig=engine._gram_min_eig, _solve_linear=engine._solve_linear,
+                     _lu_solve=np.linalg.solve, _array=np.array)
     exec(compile(text, "<kernel>", "exec"), namespace)
     return namespace["make"]
 
 
+def _make(spec, emitters: dict) -> tuple:
+    text, values = _source(spec, emitters)
+    return _factory(text)(*values)
+
+
 def build(spec) -> Kernel:
-    """The kernel of a system (``SystemSpec.kernel`` keeps it on the spec)."""
-    text, values = _source(spec)
-    return Kernel(*_factory(text)(*values))
+    """``accel`` and ``diag`` of a system (``SystemSpec.kernel`` keeps them on the spec)."""
+    return Kernel(*_make(spec, {"accel": _accel, "diag": _diag}))
+
+
+def build_jacobian(spec) -> Callable:
+    """``jac`` of a system (``SystemSpec.jacobian_kernel`` keeps it on the spec)."""
+    (jac,) = _make(spec, {"jac": _jac})
+    return jac

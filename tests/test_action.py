@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import potential_t_system, sleigh_run, wheel_system
-from nonholo import action, engine, hamiltonian
+from nonholo import action, hamiltonian, kernels
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -229,18 +229,21 @@ class TestSampleSpans:
     @pytest.mark.parametrize("N", [5, 9, 23])
     def test_one_flow_call_per_sample(self, monkeypatch, N):
         # the gradient is one pass over the flow of H, no action integrand; the flow
-        # takes the force Jacobians only where pi != 0
+        # takes the force Jacobians (the spec's Jacobian kernel) only where pi != 0
         calls = {"field": 0, "jacobian": 0, "integrand": 0}
 
-        def counted(module, name, key):
-            fn = getattr(module, name)
-
+        def counting(fn, key):
             def wrapper(*args):
                 calls[key] += 1
                 return fn(*args)
-            monkeypatch.setattr(module, name, wrapper)
+            return wrapper
+
+        def counted(module, name, key):
+            monkeypatch.setattr(module, name, counting(getattr(module, name), key))
         counted(hamiltonian, "hamiltonian_vector_field", "field")
-        counted(engine, "acceleration_jacobian_raw", "jacobian")
+        build_jacobian = kernels.build_jacobian
+        monkeypatch.setattr(kernels, "build_jacobian",
+                            lambda spec: counting(build_jacobian(spec), "jacobian"))
         counted(action, "_integrand_at", "integrand")
         n = 2
         spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])

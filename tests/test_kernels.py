@@ -1,16 +1,22 @@
 """Compiled per-system kernels: bit for bit the generic engine, built once per
-spec, shared across parameter variants, and gone with their spec."""
+spec (the Jacobian kernel apart, on first use), shared across parameter
+variants, and gone with their spec."""
 
 import gc
+import math
+import random
 import struct
 import weakref
+from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import potential_t_system, wheel_state, wheel_system
 from nonholo import engine, kernels
 from nonholo.engine import ConstraintSet, SystemSpec
+from nonholo.errors import ExprDomainError
 from nonholo.expr import Binary, Expr, Unary, Var, partial_exprs
 from nonholo.scenarios import SleighParams, build_sleigh_spec
 from test_expr import _trees
@@ -87,9 +93,12 @@ def _generic_diag(spec, q, v, t):
 
 def _assert_kernel_matches(spec, states):
     accel, diag = spec.kernel
+    jac = spec.jacobian_kernel
     for q, v, t in states:
         assert _outcome(accel, q, v, t) == _outcome(engine.acceleration_raw, spec, q, v, t)
         assert _outcome(diag, q, v, t) == _outcome(_generic_diag, spec, q, v, t)
+        assert (_outcome(jac, q, v, t)
+                == _outcome(engine.acceleration_jacobian_raw, spec, q, v, t))
 
 
 class TestMatchesGeneric:
@@ -103,20 +112,26 @@ class TestMatchesGeneric:
         _assert_kernel_matches(spec, states)
 
     def test_named_systems_along_the_way(self):
-        # the sleigh variants, the m = 2 wheel and a t-dependent constraint, including
-        # the nonlinear chart's singular yd1 = 0 and a degenerate wheel Gram matrix
+        # the sleigh variants, the m = 2 wheel, a t-dependent constraint and a tan/abs/^
+        # system, including the nonlinear chart's singular yd1 = 0, a degenerate wheel
+        # Gram matrix, and random states where every rounding shows
         specs = [build_sleigh_spec(variant, SleighParams(k=30.0)) for variant in
                  ("friction", "lda_linear", "lda_nonlinear", "vakonomic_phi")]
         specs += [wheel_system(), potential_t_system(),
-                  engine.make_system(2, (1.0, 1.0), constraints=("v1", "2*v1"))]
+                  engine.make_system(2, (1.0, 1.0), constraints=("v1", "2*v1")),
+                  engine.make_system(2, (1.0, 1.5), forces=("tan(q1)*abs(v2)", "q2^3 - v1^-2"),
+                                     constraints=("abs(v1)*v2 + tan(q2)*v1^2 - q1^0.5",))]
+        rng = random.Random(5)
         for spec in specs:
             n = spec.n
             q0, v0 = wheel_state(0.4, 1.1, 0.7)
             states = [((0.1,) * n, (0.0,) * n, 0.0), (q0[:n], v0[:n], 0.3),
                       ((-0.0,) * n, (float("inf"),) * n, 1.0),
                       ((0.5,) * n, (float("nan"),) * n, 2.0)]
+            states += [([rng.uniform(-2.0, 2.0) for _ in range(n)],
+                        [rng.uniform(-2.0, 2.0) for _ in range(n)], rng.uniform(0.0, 2.0))
+                       for _ in range(20)]
             _assert_kernel_matches(spec, states)
-
 
     def test_first_error_follows_the_partial_order(self):
         # at q = (-1, -1) the v2 partial log(q2) raises a log error and the q1 and v1
@@ -132,6 +147,17 @@ class TestMatchesGeneric:
             seen.add(_outcome(spec.kernel.accel, *state))
         assert len(seen) == 2
 
+    @pytest.mark.parametrize("force", ["v2^-1.0", "v2^-0.5"])
+    def test_overflowing_derivative_is_a_domain_error(self, force):
+        # F is finite at v2 = 4.96e-300, its v2 partial is not: v2^2 underflows to 0 in
+        # the integer power, exp(-1.5 log(v2)) overflows in the real one
+        spec = engine.make_system(2, (1.0, 1.0), forces=("q1", force))
+        q, v = (0.1, 0.2), (0.3, 4.96e-300)
+        assert math.isfinite(spec.kernel.accel(q, v, 0.0)[1])
+        for jacobian in (partial(engine.acceleration_jacobian_raw, spec), spec.jacobian_kernel):
+            with pytest.raises(ExprDomainError):
+                jacobian(q, v, 0.0)
+
 
 class TestLifetime:
     def test_built_once_and_kept_on_the_spec(self):
@@ -139,20 +165,40 @@ class TestLifetime:
         assert spec.kernel is spec.kernel
         assert spec == build_sleigh_spec("lda_linear", SleighParams())
 
+    def test_jacobian_built_apart_on_first_use(self, monkeypatch):
+        emitted = []
+        emit = kernels._jac
+
+        def counted(spec, body):
+            emitted.append(spec)
+            return emit(spec, body)
+        monkeypatch.setattr(kernels, "_jac", counted)
+        spec = build_sleigh_spec("lda_linear", SleighParams())
+        spec.kernel
+        assert emitted == []
+        assert spec.jacobian_kernel is spec.jacobian_kernel
+        assert emitted == [spec]
+
     def test_parameter_variants_share_one_compile(self):
         kernels._factory.cache_clear()
         slow = build_sleigh_spec("friction", SleighParams(k=10.0))
         fast = build_sleigh_spec("friction", SleighParams(k=20.0, m=1.5))
         slow.kernel, fast.kernel
         assert kernels._factory.cache_info().misses == 1
+        slow.jacobian_kernel, fast.jacobian_kernel
+        assert kernels._factory.cache_info().misses == 2
         q, v = (0.1, 0.2, 0.3), (1.0, 0.5, 0.2)
         for spec in (slow, fast):
             assert spec.kernel.accel(q, v, 0.0) == engine.acceleration_raw(spec, q, v, 0.0)
+            assert (spec.jacobian_kernel(q, v, 0.0)
+                    == engine.acceleration_jacobian_raw(spec, q, v, 0.0))
         assert slow.kernel.accel(q, v, 0.0) != fast.kernel.accel(q, v, 0.0)
+        assert slow.jacobian_kernel(q, v, 0.0) != fast.jacobian_kernel(q, v, 0.0)
 
     def test_kernel_does_not_outlive_its_spec(self):
         spec = build_sleigh_spec("lda_nonlinear", SleighParams())
-        refs = [weakref.ref(spec), weakref.ref(spec.kernel.accel)]
+        refs = [weakref.ref(spec), weakref.ref(spec.kernel.accel),
+                weakref.ref(spec.jacobian_kernel)]
         del spec
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
