@@ -1,8 +1,10 @@
 """First-order dual numbers for forward-mode differentiation.
 
 They serve only the Poisson brackets in ``hamiltonian``, which seed one
-phase-space coordinate at a time.  Components may themselves be duals, so
-nesting two levels gives exact second derivatives.
+coordinate at a time with ``Dual(x, 1.0)``: both parts are floats.  As in the
+closed forms of ``expr``, a quotient's derivative divides by the square of the
+divisor, and a real power's goes through x^(y-1), so both raise
+``ExprDomainError`` where the closed forms do.
 """
 
 import math
@@ -13,7 +15,7 @@ _POLE_TOL = 1e-12
 
 
 class Dual:
-    """a + b*eps with eps^2 = 0; a and b may be floats or Duals."""
+    """a + b*eps with eps^2 = 0 over floats a and b."""
 
     __slots__ = ("re", "du")
 
@@ -48,21 +50,16 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if value(other) == 0.0:
+            if other.re * other.re == 0.0:  # the derivative's divisor
                 raise ExprDomainError("division by zero")
-            inv = 1.0 / other.re if not isinstance(other.re, Dual) else None
-            if inv is not None:
-                return Dual(self.re * inv, (self.du * other.re - self.re * other.du) * inv * inv)
-            return Dual(
-                self.re / other.re,
-                (self.du * other.re - self.re * other.du) / (other.re * other.re),
-            )
-        if value(other) == 0.0:
+            inv = 1.0 / other.re
+            return Dual(self.re * inv, (self.du * other.re - self.re * other.du) * inv * inv)
+        if other == 0.0:
             raise ExprDomainError("division by zero")
         return Dual(self.re / other, self.du / other)
 
     def __rtruediv__(self, other):
-        if value(self) == 0.0:
+        if self.re * self.re == 0.0:
             raise ExprDomainError("division by zero")
         return Dual(other / self.re, -other * self.du / (self.re * self.re))
 
@@ -80,22 +77,26 @@ class Dual:
 
 
 def value(x):
-    """Innermost float of a (possibly nested) dual."""
-    while isinstance(x, Dual):
-        x = x.re
-    return x
+    """The float part of a dual; a float as it is."""
+    return x.re if isinstance(x, Dual) else x
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.re), cos(x.re) * x.du)
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:  # math.sin(+-inf)
+        raise ExprDomainError("sin of an infinite value") from None
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.re), -sin(x.re) * x.du)
-    return math.cos(x)
+    try:
+        return math.cos(x)
+    except ValueError:  # math.cos(+-inf)
+        raise ExprDomainError("cos of an infinite value") from None
 
 
 def tan(x):
@@ -128,7 +129,7 @@ def sqrt(x):
         raise ExprDomainError("sqrt of negative value")
     if isinstance(x, Dual):
         r = sqrt(x.re)
-        if value(r) == 0.0:
+        if r == 0.0:
             raise ExprDomainError("sqrt derivative at zero")
         return Dual(r, x.du / (2.0 * r))
     return math.sqrt(x)
@@ -170,4 +171,7 @@ def power(x, y):
         return ipow(x, int(y))
     if value(x) <= 0.0:
         raise ExprDomainError("non-integer power of a non-positive base")
+    if isinstance(x, Dual) and not isinstance(y, Dual):
+        # (y x^(y-1)) x', as ``expr`` differentiates it: x^(y-1) may overflow where x^y does not
+        return Dual(power(x.re, y), y * power(x.re, y - 1.0) * x.du)
     return exp(y * log(x))

@@ -16,7 +16,7 @@ Every evaluation takes raw ``(spec, q, v, t)`` sequences.
 form, from the compiled second partials of the constraints and of the base
 force.  Dual numbers reach the engine only through
 ``hamiltonian.hamiltonian_value`` under ``hamiltonian.poisson_bracket``, which
-seeds q and v with them.
+seeds q and v with them, one level deep.
 
 The float F of a run, and its Jacobians, do not come from here.
 ``SystemSpec.kernel`` (module ``kernels``) compiles each system once, on first
@@ -28,6 +28,10 @@ bit for bit, errors included (``tests/test_kernels.py``).  The integrator, the
 Hamiltonian flow and the action functionals call the kernels; the functions
 here stay the dual-capable reference, and serve the projection, the Poisson
 brackets and the tests.
+
+The reference takes no shortcut: every m >= 1 goes through one Gram fill,
+``_gram_min_eig`` and ``_solve_linear``, and every F through
+``_total_acceleration``; only the kernels unroll m = 1, to the same floats.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ class ConstraintSet:
 
     exprs: tuple[Expr, ...] = ()
     eps_reg: float = 1e-10
+
+    def __post_init__(self):
+        if not 0 < self.eps_reg < math.inf:
+            raise ValueError("eps_reg must be finite and positive")
 
     def __len__(self):
         return len(self.exprs)
@@ -159,23 +167,6 @@ def _constraint_solve(spec: SystemSpec, q, v, t, f0):
     mass = spec.mass
     n = spec.n
     grads = [_expr.grad_raw(c, q, v, t) for c in cons]
-    if m == 1:
-        # scalar fast path, skipping eigvalsh and the elimination, for the callers that
-        # still solve here: the dual-seeded Poisson brackets and the reference functions;
-        # a run takes the compiled kernels' unrolled copy of this branch
-        dq1, dv1, dt1 = grads[0]
-        g = 0.0
-        b = -dt1
-        for i in range(n):
-            g = g + dv1[i] * dv1[i] / mass[i]
-            b = b - dq1[i] * v[i] - dv1[i] * f0[i] / mass[i]
-        min_eig = value(g)
-        if min_eig < spec.constraints.eps_reg:
-            raise RegularityError(
-                f"constraint Gram matrix smallest eigenvalue {min_eig:.3e} "
-                f"below floor {spec.constraints.eps_reg:.3e}"
-            )
-        return [b / g], grads, [[g]], [b], min_eig
     gram = [[0.0] * m for _ in range(m)]
     for a in range(m):
         dva = grads[a][1]
@@ -226,10 +217,9 @@ def _total_acceleration(spec: SystemSpec, f0, h, grads):
 def acceleration_raw(spec: SystemSpec, q, v, t):
     """Total acceleration a_i = (f0_i + sum_a h_a dD_a/dv_i)/m_i."""
     f0 = base_force_raw(spec, q, v, t)
-    if not spec.constraints.exprs:
-        mass = spec.mass
-        return [f0[i] / mass[i] for i in range(spec.n)]
-    h, grads, _, _, _ = _constraint_solve(spec, q, v, t, f0)
+    h = grads = ()
+    if spec.constraints.exprs:
+        h, grads, _, _, _ = _constraint_solve(spec, q, v, t, f0)
     return _total_acceleration(spec, f0, h, grads)
 
 

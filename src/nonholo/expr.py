@@ -8,7 +8,8 @@ exact: partials of any order are ``Expr``s, one per occurring variable, built
 by ``partial_exprs`` on first use and each compiled once.  ``grad_raw``
 evaluates them, and ``grad_raw`` of an entry is a row of second partials (the
 force Jacobians in ``engine``).  The compiled functions also accept dual
-numbers, which serve only the Poisson brackets (see ``hamiltonian``).
+numbers, one level deep, which serve only the Poisson brackets (see
+``hamiltonian``).
 """
 
 from __future__ import annotations
@@ -393,7 +394,8 @@ def grad_raw(expr: Expr, q, v, t):
 
 
 def partial_exprs(expr: Expr):
-    """((kind, index, Expr of d expr/d var), ...) per occurring variable.
+    """((kind, index, Expr of d expr/d var), ...) per occurring variable, sorted, so
+    the first error a state raises is the same under every hash seed.
 
     Built on the first call and kept on *expr*, so parsing compiles only
     ``expr`` itself and no derivative tree is compiled twice.  ``grad_raw``
@@ -403,7 +405,7 @@ def partial_exprs(expr: Expr):
     if expr._partials is None:
         expr._partials = tuple(
             (kind, index, Expr(_derivative(expr.root, kind, index), expr.n))
-            for kind, index in expr.free
+            for kind, index in sorted(expr.free)
         )
     return expr._partials
 

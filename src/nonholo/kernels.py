@@ -31,7 +31,8 @@ left-to-right chains from 0.0, absent partials entering as 0.0, so signed
 zeros, NaN and the first error raised are those of the generic path.  For
 m != 1 the Gram matrix goes through ``engine._gram_min_eig`` and
 ``engine._solve_linear``, and the 2n Jacobian directions through one
-``np.linalg.solve``.
+``np.linalg.solve``.  m = 1 unrolls to ``min_eig = G``, ``h = b / G``: the same
+floats as the generic path, which has no such shortcut.
 
 Every finite constant -- the masses, ``eps_reg`` and the literals of the
 trees -- is an argument of a generated ``make(...)`` factory, and the

@@ -131,6 +131,18 @@ class TestSimulate:
                           initial={"q0": [700], "v0": [0]})
         assert main(["simulate", cfg]) == 3
 
+    @pytest.mark.parametrize("system, initial", [
+        # sin of inf in the initial diagnostics
+        ({"forces": ["sin(exp(700)*exp(700)*q1)", "0"], "constraints": ["v1 - 1"]}, {}),
+        # sin of inf in the initial projection
+        ({"constraints": ["sin(exp(700)*exp(700)*q1)*v1 + v2 - 1"]}, {"project": True}),
+    ], ids=["diagnostics", "projection"])
+    def test_sin_of_inf_before_the_run_exits_three(self, tmp_path, capsys, system, initial):
+        cfg = base_config(tmp_path, system={"n": 2, "masses": [1, 1], **system},
+                          initial={"q0": [1, 0], "v0": [1, 1], **initial})
+        assert main(["simulate", cfg]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_domain_error_writes_recorded_samples(self, tmp_path):
         # log(q1) leaves its domain when q1 falls through 0, before t = 0.5
         csv = tmp_path / "traj.csv"
@@ -394,7 +406,14 @@ class TestLoadValidation:
           "initial": {"q0": [1.0], "v0": [0.0]}}, "system.eps_reg"),
         ({"system": {"n": 1, "masses": [1.0], "potential": "q1^2/2", "eps_reg": "1e-10"},
           "initial": {"q0": [1.0], "v0": [0.0]}}, "system.eps_reg"),
-    ], ids=["dt_nan", "t_end_huge_int", "tolerance_inf", "eps_reg_nan", "eps_reg_string"])
+        # finite but not positive: the Gram matrix q1^2 = 0 would pass a floor of 0
+        ({"system": {"n": 2, "masses": [1, 1], "constraints": ["v1*q1"], "eps_reg": 0},
+          "initial": {"q0": [0, 0], "v0": [1, 1]}}, "system: eps_reg must be finite and positive"),
+        ({"system": {"n": 2, "masses": [1, 1], "constraints": ["v1*q1"], "eps_reg": -1},
+          "initial": {"q0": [1e-200, 0], "v0": [1, 1]}},
+         "system: eps_reg must be finite and positive"),
+    ], ids=["dt_nan", "t_end_huge_int", "tolerance_inf", "eps_reg_nan", "eps_reg_string",
+            "eps_reg_zero", "eps_reg_negative"])
     def test_non_finite_config_number_exits_two(self, tmp_path, capsys, overrides, field):
         cfg = base_config(tmp_path, outputs={"trajectory_csv": str(tmp_path / "traj.csv")},
                           **{"checks": [{"type": "drift"}], **overrides})

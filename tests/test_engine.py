@@ -156,6 +156,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             make_system(1, (mass,), forces=("-q1",))
 
+    @pytest.mark.parametrize("eps_reg", [0.0, -1.0, float("nan"), float("inf")])
+    def test_regularity_floor_must_be_finite_and_positive(self, eps_reg):
+        # a floor of 0 would let a zero Gram matrix through to the division by it
+        with pytest.raises(ValueError, match="eps_reg must be finite and positive"):
+            make_system(2, (1.0, 1.0), constraints=("v1*q1",), eps_reg=eps_reg)
+
     def test_potential_and_forces_exclusive(self):
         with pytest.raises(ValueError):
             make_system(1, (1.0,), potential="q1^2", forces=("q1",))

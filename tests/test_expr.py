@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonholo
 from nonholo import engine
 from nonholo import expr as expr_module
 from nonholo.errors import ExprDomainError, ExprSyntaxError
@@ -106,6 +111,12 @@ class TestEval:
         e = parse_expression("tan(q1)", 1)
         with pytest.raises(ExprDomainError):
             e._fn((math.pi / 2,), (0,), 0.0)
+
+    @pytest.mark.parametrize("source", ["sin(q1)", "cos(q1)", "tan(q1)"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_trig_of_infinity(self, source, x):
+        with pytest.raises(ExprDomainError, match="of an infinite value"):
+            parse_expression(source, 1)._fn((x,), (0,), 0.0)
 
     def test_negative_base_fractional_power(self):
         e = parse_expression("q1^0.5", 1)
@@ -222,6 +233,26 @@ class TestSecondPartials:
         (con,) = spec.constraints.exprs
         second = [d2.root for _, _, d1 in partial_exprs(con) for _, _, d2 in partial_exprs(d1)]
         assert compiled == second
+
+    def test_order_is_independent_of_the_hash_seed(self):
+        # the order of the partials fixes which error of a state is raised first: here
+        # d/dq1 and d/dv1 leave the domain of sqrt, d/dv2 that of log
+        script = (
+            "from nonholo import engine\n"
+            "from nonholo.expr import partial_exprs\n"
+            "spec = engine.make_system(2, (1, 1), constraints=('sqrt(q1)*v1 + log(q2)*v2',))\n"
+            "print([kind + str(index) for kind, index, _ in "
+            "partial_exprs(spec.constraints.exprs[0])])\n"
+            "try:\n"
+            "    spec.kernel.accel([-1.0, -1.0], [1.0, 1.0], 0.0)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+        src = str(Path(nonholo.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2")}
+        assert outs == {"['q1', 'q2', 'v1', 'v2']\nExprDomainError sqrt of negative value\n"}
 
     def test_abs_second_derivative_is_zero(self):
         # d/dq1 abs(q1) is sgn(q1), which is piecewise constant

@@ -229,6 +229,10 @@ class TestForceJacobians:
         (None, ("v1 - v2", "2*v1 - 2*v2"), [0.0, 0.0], [1.0, 1.0], RegularityError),
         # dF1/dq1 = 1/(2 sqrt(q1)) is unbounded at q1 = 0, where F itself is finite
         (("sqrt(q1)", "v1"), (), [0.0, 0.3], [1.0, 0.5], ExprDomainError),
+        # F is finite at v2 = 4.96e-300, dF2/dv2 is not: v2^2 underflows to 0 in the
+        # integer power, exp(-1.5 log(v2)) overflows in the real one
+        (("q1", "v2^-1.0"), (), [0.1, 0.2], [0.3, 4.96e-300], ExprDomainError),
+        (("q1", "v2^-0.5"), (), [0.1, 0.2], [0.3, 4.96e-300], ExprDomainError),
     ])
     def test_degenerate_points_raise_as_dual_seeding(self, forces, constraints, q, v, error):
         spec = make_system(2, (1.0, 1.0), forces=forces, constraints=constraints)
@@ -269,6 +273,15 @@ class TestBrackets:
         lhs = poisson_bracket(f, lambda w: g(w) * h(w), y, 2)
         rhs = poisson_bracket(f, g, y, 2) * h(y) + g(y) * poisson_bracket(f, h, y, 2)
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+    @pytest.mark.parametrize("force", ["v2^-1.0", "v2^-0.5"])
+    def test_overflowing_derivative_is_a_domain_error(self, force):
+        # {pi_2, H} needs dF2/dv2, which overflows at v2 = 4.96e-300 where F is finite
+        spec = make_system(2, (1.0, 1.0), forces=("q1", force))
+        y = ExtendedPhasePoint(q=(0.1, 0.2), p=(0.0, 0.0), v=(0.3, 4.96e-300),
+                               pi=(0.0, 1.0), e=1.0, pi_e=0.0)
+        with pytest.raises(ExprDomainError):
+            poisson_bracket(lambda w: w[PI2], lambda w: hamiltonian_value(spec, w), y, 2)
 
     def test_surface_functions_pairwise_involutive(self):
         # pi_e, p_i, pi_i all commute with each other

@@ -260,7 +260,7 @@ class TestFailedRuns:
         assert np.all(traj.q > 0.0)
 
     def test_math_domain_error_ends_run(self):
-        # the first RK4 stage carries v1 = inf into sin, which raises ValueError
+        # the first RK4 stage carries v1 = inf into sin, which raises ExprDomainError
         spec = make_system(1, (1.0,), forces=("sin(v1) + exp(700)*exp(700)",))
         traj = integrate_second_order(spec, (0.0,), (0.0,), IntegratorConfig(dt=0.01, t_end=0.1))
         assert traj.termination.kind == "error"
