@@ -31,7 +31,10 @@ brackets and the tests.
 
 The reference takes no shortcut: every m >= 1 goes through one Gram fill,
 ``_gram_min_eig`` and ``_solve_linear``, and every F through
-``_total_acceleration``; only the kernels unroll m = 1, to the same floats.
+``_total_acceleration``.  The kernels unroll the solve, to the same floats: m = 1
+to one division, m >= 2 to ``_solve_linear``'s elimination as straight-line code.
+They compute the smallest eigenvalue only where it is recorded (``diag``) or
+where a Gershgorin certificate that it clears the floor fails.
 """
 
 from __future__ import annotations

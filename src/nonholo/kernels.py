@@ -28,11 +28,15 @@ node, through the ``expr._NS`` helpers that the compiled expressions call
 guarded division); a subtree already computed earlier in that order is
 reused, which is exact because the helpers are pure.  Sums accumulate as flat
 left-to-right chains from 0.0, absent partials entering as 0.0, so signed
-zeros, NaN and the first error raised are those of the generic path.  For
-m != 1 the Gram matrix goes through ``engine._gram_min_eig`` and
-``engine._solve_linear``, and the 2n Jacobian directions through one
-``np.linalg.solve``.  m = 1 unrolls to ``min_eig = G``, ``h = b / G``: the same
-floats as the generic path, which has no such shortcut.
+zeros, NaN and the first error raised are those of the generic path.  The
+Gram solve is unrolled too: m = 1 to ``min_eig = G``, ``h = b / G``, and m >= 2
+to the Gaussian elimination of ``engine._solve_linear``, pivot search and row
+swaps included (``_eliminate``), the same floats as the generic path, which has
+no such shortcut.  For m >= 2 the smallest eigenvalue (``engine._gram_min_eig``)
+is computed only where it is recorded, in ``diag``, or where a Gershgorin
+certificate that it clears the floor fails (``_certified``), so ``accel`` and
+``jac`` raise exactly where the generic check does.  The 2n Jacobian directions
+of ``jac`` go through one ``np.linalg.solve`` for m >= 2.
 
 Every finite constant -- the masses, ``eps_reg`` and the literals of the
 trees -- is an argument of a generated ``make(...)`` factory, and the
@@ -141,6 +145,64 @@ class _Solved(NamedTuple):
     grads: list  # (dq, dv, dt) of each constraint
     h: list
     total: list  # source of each F_i
+    gram: str  # source of the Gram matrix as nested lists (m >= 2)
+
+
+def _g(a: int, b: int) -> str:
+    """The local of Gram entry (a, b): the symmetric entry is the same float, as in the
+    generic fill."""
+    return f"g{min(a, b)}_{max(a, b)}"
+
+
+def _certified(m: int) -> list[str]:
+    """Source of a test that, where it holds, the generic ``_gram_min_eig(gram) < eps``
+    is false: a Gershgorin bound with margin, on every row
+
+        g_aa - sum_{b != a} |g_ab| > eps + 1e-12 sum_{a,b} |g_ab|.
+
+    LAPACK's symmetric eigenvalues are backward stable, |computed - exact| <=
+    p(m) u ||G||_2 (Demmel, Applied Numerical Linear Algebra, 5.2), and the margin
+    exceeds 4000 u ||G||_2, so where this holds the computed eigenvalue clears eps
+    too.  Any NaN or inf entry fails it: the bound is then NaN or inf, and the
+    comparison is strict."""
+    total = " + ".join(f"abs({_g(a, b)})" for a in range(m) for b in range(m))
+    rows = [_g(a, a) + "".join(f" - abs({_g(a, b)})" for b in range(m) if b != a) + " > bound"
+            for a in range(m)]
+    return [f"bound = eps + 1e-12 * ({total})", f"if not ({' and '.join(rows)}):"]
+
+
+def _eliminate(m: int) -> list[str]:
+    """``engine._solve_linear`` on the Gram matrix g and the right-hand sides b0..,
+    unrolled into h0..: the same float operations in the same order.  The working
+    rows are the locals w{r}_{c} and b{r}, which a pivot swap rebinds; the columns
+    left of the pivot, which the generic loop swaps but never reads again, are
+    neither kept nor swapped."""
+    w = [[f"w{r}_{c}" for c in range(m)] for r in range(m)]
+    lines = [f"{', '.join(sum(w, []))} = "
+             + ", ".join(_g(r, c) for r in range(m) for c in range(m))]
+    for col in range(m):
+        if col + 1 < m:
+            # the first row of largest abs under a strict >, as max() picks it
+            lines.append(f"k, piv = {col}, abs({w[col][col]})")
+            for r in range(col + 1, m):
+                lines += [f"alt = abs({w[r][col]})", f"if alt > piv: k, piv = {r}, alt"]
+            pivot_row = [*w[col][col:], f"b{col}"]
+            for r in range(col + 1, m):
+                row = [*w[r][col:], f"b{r}"]
+                lines += [f"{'if' if r == col + 1 else 'elif'} k == {r}:",
+                          f"    {', '.join(pivot_row + row)} = {', '.join(row + pivot_row)}"]
+        lines += [f"if {w[col][col]} == 0.0:",
+                  '    raise RegularityError("singular constraint Gram matrix")']
+        if col + 1 < m:
+            lines.append(f"inv = 1.0 / {w[col][col]}")
+            for r in range(col + 1, m):
+                lines.append(f"fac = {w[r][col]} * inv")
+                lines += [f"{w[r][c]} = {w[r][c]} - fac * {w[col][c]}" for c in range(col + 1, m)]
+                lines.append(f"b{r} = b{r} - fac * b{col}")
+    for r in reversed(range(m)):
+        lines.append(f"h{r} = (b{r}" + "".join(f" - {w[r][c]} * h{c}" for c in range(r + 1, m))
+                     + f") / {w[r][r]}")
+    return lines
 
 
 def _solve(spec, body: _Body, diag: bool) -> _Solved:
@@ -169,30 +231,24 @@ def _solve(spec, body: _Body, diag: bool) -> _Solved:
                                   for i in range(n))
 
     h = [f"h{a}" for a in range(m)]
+    matrix = "[" + ", ".join("[" + ", ".join(_g(a, b) for b in range(m)) + "]"
+                             for a in range(m)) + "]"
+    check = ["if min_eig < eps:", f"    {_REGULARITY}"]
     if m == 1:
-        out += [f"min_eig = {gram(0, 0)}",
-                f"b0 = {rhs(0)}",
-                "if min_eig < eps:",
-                f"    {_REGULARITY}",
-                "h0 = b0 / min_eig"]
+        out += [f"min_eig = {gram(0, 0)}", f"b0 = {rhs(0)}", *check, "h0 = b0 / min_eig"]
     elif m or diag:
-        # (m = 0: diag keeps the generic empty-Gram call, which raises in eigvalsh);
-        # the symmetric entry is the same float, as in the generic fill
-        for a in range(m):
-            for b in range(a, m):
-                out.append(f"g{a}_{b} = {gram(a, b)}")
-        rows = [f"[{', '.join(f'g{min(a, b)}_{max(a, b)}' for b in range(m))}]"
-                for a in range(m)]
-        out += [f"gram = [{', '.join(rows)}]",
-                "min_eig = _gram_min_eig(gram)",
-                "if min_eig < eps:",
-                f"    {_REGULARITY}"]
+        # (m = 0: diag keeps the generic empty-Gram call, which raises in eigvalsh)
+        out += [f"{_g(a, b)} = {gram(a, b)}" for a in range(m) for b in range(a, m)]
+        if diag:  # min_eig is recorded
+            out += [f"min_eig = _gram_min_eig({matrix})", *check]
+        else:  # eigvalsh only where the certificate fails
+            out += [*_certified(m), f"    min_eig = _gram_min_eig({matrix})",
+                    *(f"    {line}" for line in check)]
         if m:
-            out.append(f"{', '.join(h)}, = _solve_linear(gram, "
-                       f"[{', '.join(rhs(a) for a in range(m))}])")
+            out += [f"b{a} = {rhs(a)}" for a in range(m)] + _eliminate(m)
     total = ["(" + f0[i] + "".join(f" + {h[a]} * {grads[a][1][i]}" for a in range(m))
              + f") / {mass[i]}" for i in range(n)]
-    return _Solved(values, f0, grads, h, total)
+    return _Solved(values, f0, grads, h, total, matrix)
 
 
 def _accel(spec, body: _Body) -> list[str]:
@@ -250,7 +306,8 @@ def _jac(spec, body: _Body) -> list[str]:
             hdot = [[f"hd{a}_{x}" for x in range(2 * n)] for a in range(m)]
             targets = ", ".join(f"[{', '.join(row)}]" for row in hdot)
             rows = ", ".join(f"[{', '.join(row)}]" for row in rhs)
-            body.lines.append(f"{targets}, = _lu_solve(_array(gram), _array([{rows}])).tolist()")
+            body.lines.append(f"{targets}, = _lu_solve(_array({solved.gram}), "
+                              f"_array([{rows}])).tolist()")
         for (_, ga, _), hdot_a in zip(grads, hdot):
             for j in range(n):
                 jac[j] = [bind(f"{f} + {hd} * {ga[j]}") for f, hd in zip(jac[j], hdot_a)]
@@ -280,9 +337,9 @@ def _source(spec, emitters: dict) -> tuple[str, list]:
 @lru_cache(maxsize=64)
 def _factory(text: str) -> Callable:
     """The compiled ``make`` of a kernel source."""
-    namespace = dict(_NS, RegularityError=RegularityError,
-                     _gram_min_eig=engine._gram_min_eig, _solve_linear=engine._solve_linear,
-                     _lu_solve=np.linalg.solve, _array=np.array)
+    namespace = dict(_NS, RegularityError=RegularityError, abs=abs,
+                     _gram_min_eig=engine._gram_min_eig, _lu_solve=np.linalg.solve,
+                     _array=np.array)
     exec(compile(text, "<kernel>", "exec"), namespace)
     return namespace["make"]
 

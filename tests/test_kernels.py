@@ -6,17 +6,18 @@ import gc
 import math
 import random
 import struct
+import sys
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import potential_t_system, wheel_state, wheel_system
-from nonholo import engine, kernels
+from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
+from nonholo import IntegratorConfig, engine, integrate_second_order, kernels
 from nonholo.engine import ConstraintSet, SystemSpec
-from nonholo.errors import ExprDomainError
+from nonholo.errors import ExprDomainError, RegularityError
 from nonholo.expr import Binary, Expr, Unary, Var, partial_exprs
 from nonholo.scenarios import SleighParams, build_sleigh_spec
 from test_expr import _trees
@@ -157,6 +158,164 @@ class TestMatchesGeneric:
         for jacobian in (partial(engine.acceleration_jacobian_raw, spec), spec.jacobian_kernel):
             with pytest.raises(ExprDomainError):
                 jacobian(q, v, 0.0)
+
+
+def _m3_system(eps_reg):
+    """n = 4, a constraint nonlinear in v ahead of the two wheel constraints.  At q3 = 0
+    the Gram matrix is [[v1^2 + v2^2 + q4^2, -v2, -v1], [-v2, 1, 0], [-v1, 0, 2]], so the
+    state picks each pivot row of the 3x3 elimination."""
+    return engine.make_system(4, (1.0,) * 4, constraints=("v1^2/2 + v2^2/2 + q4*v3",
+                                                          *WHEEL_CONSTRAINTS), eps_reg=eps_reg)
+
+
+def _m3_state(v1, v2, q4, q3=0.0):
+    return (0.0, 0.0, q3, q4), (v1, v2, 0.0, 0.0), 0.0
+
+
+def _lines_run(fn, q, v, t):
+    """Line numbers of fn's generated source that one call runs."""
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+    sys.settrace(tracer)
+    try:
+        _outcome(fn, q, v, t)
+    finally:
+        sys.settrace(None)
+    return ran
+
+
+@lru_cache
+def _unrolled_solve(m: int):
+    """The unrolled elimination as a function of the Gram entries g_ab (a <= b) and b_a."""
+    args = [f"g{a}_{b}" for a in range(m) for b in range(a, m)] + [f"b{a}" for a in range(m)]
+    source = (f"def solve({', '.join(args)}):\n"
+              + "".join(f"    {line}\n" for line in kernels._eliminate(m))
+              + f"    return [{', '.join(f'h{a}' for a in range(m))}]\n")
+    namespace = {"abs": abs, "RegularityError": RegularityError, "__builtins__": {}}
+    exec(source, namespace)
+    return namespace["solve"]
+
+
+_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 1e-300,
+                                      math.inf, -math.inf, math.nan]),
+                     st.floats(-4.0, 4.0))
+
+
+class TestGramSolve:
+    """The m >= 2 prefix: the certified skip of eigvalsh and the unrolled elimination."""
+
+    def test_every_branch_of_the_m3_prefix(self):
+        # one spec per floor; all three share one compiled source, so line numbers agree
+        specs = {eps: _m3_system(eps) for eps in (1e-10, 0.05, 5e-324)}
+        states = {
+            1e-10: [_m3_state(0.1, 0.1, 1.0),  # diagonally dominant: no eigvalsh
+                    _m3_state(0.1, 0.5, 0.1),  # |g10| > |g00|: rows 0 and 1 swap
+                    _m3_state(0.5, 0.1, 0.1),  # |g20| > |g00|, |g10|: rows 0 and 2 swap
+                    _m3_state(0.3, 0.9, 0.1),  # rows 1 and 2 swap at the second column
+                    _m3_state(0.0, 0.0, 0.0),  # certificate fails and eigvalsh raises
+                    _m3_state(0.2, -0.3, 1e75, 0.4),  # g00 near 1e150: LAPACK rescales
+                    _m3_state(1e-76, 1e-76, 1e-76, 0.4),
+                    _m3_state(0.0, 0.0, math.inf), _m3_state(0.0, 0.0, 0.0, math.nan),
+                    _m3_state(math.nan, 0.1, 0.1), _m3_state(0.1, -math.inf, 0.1)],
+            # an exactly singular matrix whose computed eigenvalues clear the floor: the
+            # zero pivot of the second column raises
+            5e-324: [_m3_state(0.0, 3.0, 0.0)],
+            0.05: self._near_floor(0.05, specs[5e-324]),
+        }
+        accel = specs[1e-10].kernel.accel
+        assert all(spec.kernel.accel.__code__ is accel.__code__ for spec in specs.values())
+        ran = {}
+        for eps, spec_states in states.items():
+            _assert_kernel_matches(specs[eps], spec_states)
+            for state in spec_states:
+                ran[eps, state] = _lines_run(specs[eps].kernel.accel, *state)
+
+        lines = kernels._source(specs[0.05], {"accel": kernels._accel,
+                                              "diag": kernels._diag})[0].splitlines()
+        body = range(lines.index("    def accel(q, v, t):") + 2,
+                     lines.index("    def diag(q, v, t):"))
+        fallback = next(i + 1 for i in body if "_gram_min_eig" in lines[i])
+        missed = [lines[i].strip() for i in body if i + 1 not in set().union(*ran.values())]
+        # the zero pivots of the first and last columns need an exactly singular matrix
+        # whose computed smallest eigenvalue is positive; test_elimination reaches them
+        assert missed == ['raise RegularityError("singular constraint Gram matrix")'] * 2
+        assert fallback not in ran[1e-10, states[1e-10][0]]
+        assert fallback in ran[1e-10, states[1e-10][1]]
+
+    @staticmethod
+    def _near_floor(eps, unguarded):
+        """States whose smallest Gram eigenvalue, as the spec unguarded (floor 5e-324)
+        computes it, lies within 1e-13 relative of eps, on both sides: a diagonal Gram
+        matrix and a full one (q4 by bisection)."""
+        def min_eig(state):
+            return engine.multipliers_raw(unguarded, *state)[3]
+        states = [_m3_state(0.0, 0.0, math.sqrt(eps * (1.0 + k * 1e-14))) for k in range(-5, 6)]
+        lo, hi = 0.0, 1.0  # min_eig(q4 = 0) < eps < min_eig(q4 = 1)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if min_eig(_m3_state(0.2, 0.3, mid, 0.4)) < eps else (lo, mid)
+        states += [_m3_state(0.2, 0.3, hi * (1.0 + k * 1e-15), 0.4) for k in range(-10, 11)]
+        near = [min_eig(state) for state in states]
+        assert all(abs(x - eps) <= 1e-13 * eps for x in near)
+        assert min(near) < eps <= max(near)
+        return states
+
+    def test_gram_entries_near_the_float_limits(self, monkeypatch):
+        # G = [[q1^2 + q2^2, 2 q1 q2], [2 q1 q2, q1^2 + q2^2]], eigenvalues (q1 -+ q2)^2
+        certified = [(1e75, 5e74), (1e-75, 5e-76)]  # entries near 1e150 and 1e-150
+        uncertified = [(1e75, 1e75), (1e75, 1e75 * (1.0 + 1e-8)), (1e-75, 1e-75),
+                       (1e200, 1e-200),  # inf on the diagonal, 2.0 off it
+                       (1e200, 1e200), (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0)]
+        states = [((q1, q2), (0.3, -0.2), 0.0) for q1, q2 in certified + uncertified]
+        specs = [engine.make_system(2, (1.0, 1.0), eps_reg=eps,
+                                    constraints=("q1*v1 + q2*v2", "q2*v1 + q1*v2"))
+                 for eps in (1e-10, 1e-300)]
+        for spec in specs:
+            _assert_kernel_matches(spec, states)
+        calls = []
+        accel = specs[1].kernel.accel  # floor 1e-300: every certified state clears it
+        monkeypatch.setitem(accel.__globals__, "_gram_min_eig",
+                            lambda gram: calls.append(gram) or engine._gram_min_eig(gram))
+        for state in states:
+            _outcome(accel, *state)
+        assert len(calls) == len(uncertified)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data(), m=st.integers(2, 4))
+    def test_elimination(self, data, m):
+        """The unrolled elimination is ``engine._solve_linear`` on any symmetric matrix,
+        ties, zero pivots, NaN and inf included."""
+        upper = {(a, b): data.draw(_entries) for a in range(m) for b in range(a, m)}
+        gram = [[upper[min(a, b), max(a, b)] for b in range(m)] for a in range(m)]
+        rhs = [data.draw(_entries) for _ in range(m)]
+        assert (_outcome(_unrolled_solve(m), *upper.values(), *rhs)
+                == _outcome(engine._solve_linear, gram, rhs))
+
+    def test_wheel_rk4_computes_one_eigenvalue_per_sample(self, monkeypatch):
+        # only diag, whose value is recorded, needs the eigenvalue of the wheel's
+        # certified Gram matrix; the generic path computes one per RHS too (5N + 1)
+        calls = []
+        min_eig = engine._gram_min_eig
+
+        def counted(gram):
+            calls.append(gram)
+            return min_eig(gram)
+        monkeypatch.setattr(engine, "_gram_min_eig", counted)
+        kernels._factory.cache_clear()  # compile afresh, over the counter
+        try:
+            q0, v0 = wheel_state(0.4, 1.1, 0.7)
+            traj = integrate_second_order(wheel_system(), q0, v0,
+                                          IntegratorConfig(method="rk4", dt=0.01, t_end=0.5))
+        finally:
+            kernels._factory.cache_clear()  # no later spec gets the counter
+        assert len(traj.times) == 51
+        assert len(calls) == len(traj.times)
 
 
 class TestLifetime:
