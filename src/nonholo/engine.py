@@ -24,10 +24,11 @@ use, into straight-line ``accel(q, v, t)`` and ``diag(q, v, t) -> (D, h,
 min_eig)``, and ``SystemSpec.jacobian_kernel`` into ``jac(q, v, t) -> (F, dfdq,
 dfdv)`` on the first off-surface call.  They must equal ``acceleration_raw``,
 ``constraint_values`` plus ``multipliers_raw`` and ``acceleration_jacobian_raw``
-bit for bit, errors included (``tests/test_kernels.py``).  The integrator, the
-Hamiltonian flow and the action functionals call the kernels; the functions
-here stay the dual-capable reference, and serve the projection, the Poisson
-brackets and the tests.
+bit for bit, errors included (``tests/test_kernels.py``).  The integrator
+(through the generated steps ``SystemSpec.rk4_step``/``rkf45_step`` and the
+extended flow), the Hamiltonian flow and the action functionals call the
+kernels; the functions here stay the dual-capable reference, and serve the
+projection, the Poisson brackets and the tests.
 
 The reference takes no shortcut: every m >= 1 goes through one Gram fill,
 ``_gram_min_eig`` and ``_solve_linear``, and every F through
@@ -97,6 +98,20 @@ class SystemSpec:
         spec."""
         from .kernels import build_jacobian
         return build_jacobian(self)
+
+    @cached_property
+    def rk4_step(self):
+        """Generated RK4 ``step(t, y, dt)`` of the flow [q, v]: bit for bit
+        ``integrate._rk4_step`` on ``kernel.accel``; built on the first RK4 run."""
+        from .kernels import build_step
+        return build_step(self, "rk4")
+
+    @cached_property
+    def rkf45_step(self):
+        """Generated RKF45 ``step(t, y, dt) -> (y5, err)`` of the flow [q, v]: bit for
+        bit ``integrate._rkf45_step``; built on the first RKF45 run."""
+        from .kernels import build_step
+        return build_step(self, "rkf45")
 
 
 def make_system(

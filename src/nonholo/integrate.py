@@ -1,6 +1,16 @@
 """Fixed-step RK4 and adaptive RKF45 drivers for the second-order system and
 the extended-phase-space flow, with per-sample constraint diagnostics and
 sign-change event location by bisection.
+
+A run steps with the system's generated step (module ``kernels``), not with
+a right-hand side: ``SystemSpec.rk4_step`` or ``rkf45_step`` for the flow
+[q, v], which call the compiled ``accel``, and for the extended flow a step
+built per run around the generated ``flow(y, mu_e, t)`` and the run's mu_e.
+They unroll ``_rk4_step`` and ``_rkf45_step`` below, which stay as the
+reference the tests hold them to, bit for bit (as ``engine`` is for the
+kernels).  ``_drive`` gets the step, and event bisection uses the same step.
+The second-order run calls ``diag`` once per sample: its guards and its
+record read one result per state.
 """
 
 from __future__ import annotations
@@ -10,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, hamiltonian
+from . import engine, hamiltonian, kernels
 from .engine import SystemSpec
 from .errors import InitialStateError, NonholoError, RegularityError
+from .kernels import _RKF_A, _RKF_B, _RKF_C4, _RKF_C5
 
 EVENT_TIME_TOL = 1e-10
 INITIAL_CONSTRAINT_TOL = 1e-10
@@ -83,6 +94,9 @@ class ExtendedTrajectory:
 
 # --- generic drivers ----------------------------------------------------------
 
+# The reference steps on a right-hand side f(t, y) -> list; runs take the
+# generated steps, which repeat these float operations in this order.
+
 def _rk4_step(f, t, y, dt):
     k1 = f(t, y)
     half = 0.5 * dt
@@ -95,20 +109,6 @@ def _rk4_step(f, t, y, dt):
     k4 = f(t + dt, y4)
     sixth = dt / 6.0
     return [y[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(dim)]
-
-
-# Fehlberg 4(5) tableau
-_RKF_A = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_RKF_B = (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_C5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_RKF_C4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
 
 
 def _rkf45_step(f, t, y, dt):
@@ -154,28 +154,28 @@ def _bisect_event(step, guard, t_prev, y_prev, dt):
     return t_prev + hi, y_hi
 
 
-def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
-    """Advance with the configured method; returns a Termination.
+def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
+    """Advance with the run's step; returns a Termination.
 
-    accept(t, y) records an accepted sample and may return an adjusted state
-    (velocity projection).  Guards are (name, g(t, y)) pairs; when g crosses
-    from positive to <= 0 the crossing is located by bisection, the event
-    sample is recorded, and the run terminates.  Non-finite values, an RKF45
-    step over tolerance at dt_min, or a NonholoError, ArithmeticError or
-    ValueError (math domain) end the run as "error" at the last accepted time.
+    step(t, y, dt) is the configured method: the new state for rk4, (y5, err)
+    for rkf45.  accept(t, y) records an accepted sample and may return an
+    adjusted state (velocity projection).  Guards are (name, g(t, y)) pairs;
+    when g crosses from positive to <= 0 the crossing is located by bisection
+    with the same step, the event sample is recorded, and the run terminates.
+    Every state reaches the guards and accept at one time only, and y0 itself
+    is the first.  Non-finite values, an RKF45 step over tolerance at dt_min,
+    or a NonholoError, ArithmeticError or ValueError (math domain) end the run
+    as "error" at the last accepted time.
     """
     t = t0
-    y = list(y0)
+    y = y0
     t_end = t0 + cfg.t_end
 
-    # the steppers are looked up at call time, so replacing them by module
-    # attribute reaches event location as well
     if cfg.method == "rk4":
-        def substep(t_prev, y_prev, dt):
-            return _rk4_step(f, t_prev, y_prev, dt)
+        substep = step
     else:
         def substep(t_prev, y_prev, dt):
-            return _rkf45_step(f, t_prev, y_prev, dt)[0]
+            return step(t_prev, y_prev, dt)[0]
 
     def advance(t_prev, y_prev, t_new, y_new):
         """Guard check + acceptance; returns (t, y, termination_or_None)."""
@@ -204,10 +204,8 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
         if cfg.method == "rk4":
             n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
             dt = cfg.t_end / n_steps
-            for step in range(n_steps):
-                t_new = t0 + (step + 1) * dt
-                y_new = _rk4_step(f, t, y, dt)
-                t, y, stop = advance(t, y, t_new, y_new)
+            for i in range(n_steps):
+                t, y, stop = advance(t, y, t0 + (i + 1) * dt, step(t, y, dt))
                 if stop is not None:
                     return stop
             return Termination("completed", t=t)
@@ -216,8 +214,8 @@ def _drive(f, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
         dt = min(cfg.dt, cfg.dt_max)
         while t < t_end - 1e-14:
             dt = min(dt, t_end - t)
-            y_new, err = _rkf45_step(f, t, y, dt)
-            scale = cfg.atol + cfg.rtol * max(abs(x) for x in y)
+            y_new, err = step(t, y, dt)
+            scale = cfg.atol + cfg.rtol * max(map(abs, y))
             if not math.isfinite(err):
                 return Termination("error", "non-finite error estimate", t)
             if err <= scale:
@@ -260,46 +258,36 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
                 f"initial constraint violation {max(abs(x) for x in d0):.3e}"
             )
 
-    # the compiled kernel: engine.acceleration_raw and the diagnostics, bit for bit
-    accel, diag = spec.kernel
-
-    def f(t, y):
-        return y[n:] + accel(y[:n], y[n:], t)
-
-    # one shared diagnostics computation per (t, state)
-    memo: dict = {}
+    diag = spec.kernel.diag
+    step = spec.rk4_step if cfg.method == "rk4" else spec.rkf45_step
+    times, rows, diags = [], [], []
+    # the state diag last ran on, and its (D, h, min_eig): the driver hands each
+    # state to the guards and to accept at one time only, so diag runs once per sample
+    last = [None, None]
 
     def diagnostics(t, y):
-        key = (t, tuple(y))
-        hit = memo.get(key)
-        if hit is None:
-            hit = diag(y[:n], y[n:], t)
-            memo.clear()
-            memo[key] = hit
-        return hit
-
-    times, qs, vs, ds, hs, eigs = [], [], [], [], [], []
+        if y is last[0]:
+            return last[1]
+        out = last[1] = diag(y[:n], y[n:], t)
+        last[0] = y
+        return out
 
     def record(t, y):
         times.append(t)
-        qs.append(y[:n])
-        vs.append(y[n:])
+        rows.append(y)
         if m:
-            d, h, min_eig = diagnostics(t, y)
-            ds.append(d)
-            hs.append(h)
-            eigs.append(min_eig)
-        else:
-            eigs.append(math.inf)
+            diags.append(diagnostics(t, y))
 
-    def accept(t, y):
-        if cfg.projection and m:
-            v_proj = list(engine.project_initial_state(spec, y[:n], y[n:], t))
-            y = y[:n] + v_proj
-        record(t, y)
-        return y if cfg.projection and m else None
+    if cfg.projection and m:
+        def accept(t, y):
+            y = y[:n] + list(engine.project_initial_state(spec, y[:n], y[n:], t))
+            record(t, y)
+            return y
+    else:
+        accept = record
 
-    record(t0, q0 + v0)
+    y0 = q0 + v0
+    record(t0, y0)
 
     run_guards = list(guards)
     if m:
@@ -307,24 +295,24 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
         def gram_margin(t, y):
             try:
-                _, _, min_eig = diagnostics(t, y)
+                return diagnostics(t, y)[2] - floor
             except RegularityError:
                 return -1.0
-            return min_eig - floor
 
         run_guards.append(("gram_eigenvalue_floor", gram_margin))
         if not cfg.projection:
             def drift_margin(t, y):
-                d, _, _ = diagnostics(t, y)
-                return cfg.drift_tolerance - max(abs(x) for x in d)
+                return cfg.drift_tolerance - max(map(abs, diagnostics(t, y)[0]))
 
             run_guards.append(("constraint_drift", drift_margin))
 
-    termination = _drive(f, q0 + v0, cfg, accept, run_guards, t0)
+    termination = _drive(step, y0, cfg, accept, run_guards, t0)
+    arr = np.array(rows)
+    ds, hs, eigs = zip(*diags) if m else ((), (), [math.inf] * len(times))
     return Trajectory(
         times=np.array(times),
-        q=np.array(qs),
-        v=np.array(vs),
+        q=arr[:, :n],
+        v=arr[:, n:],
         constraint_values=np.array(ds) if m else np.zeros((len(times), 0)),
         multipliers=np.array(hs) if m else np.zeros((len(times), 0)),
         gram_min_eig=np.array(eigs),
@@ -347,26 +335,24 @@ def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, gua
     if mu_e is None:
         mu_e = lambda t: 0.0
 
-    def f(t, y):
-        return hamiltonian.hamiltonian_vector_field(spec, y, mu_e(t), t)
-
-    times, rows, residuals = [], [], []
+    step = kernels.build_extended_step(spec, cfg.method, mu_e)
+    times, rows = [], []
 
     def accept(t, y):
         times.append(t)
-        rows.append(list(y))
-        residuals.append(hamiltonian.constraint_surface_residual(y, n))
+        rows.append(y)
         return None
 
     accept(t0, y0)
     e_sign = 1.0 if y0[4 * n] > 0 else -1.0
     run_guards = [("e_zero_crossing", lambda t, y: e_sign * y[4 * n])] + list(guards)
-    termination = _drive(f, y0, cfg, accept, run_guards, t0)
+    termination = _drive(step, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)
     return ExtendedTrajectory(
         times=np.array(times),
         q=arr[:, 0:n], p=arr[:, n:2 * n], v=arr[:, 2 * n:3 * n], pi=arr[:, 3 * n:4 * n],
         e=arr[:, 4 * n], pi_e=arr[:, 4 * n + 1],
-        surface_residual=np.array(residuals),
+        surface_residual=np.array([hamiltonian.constraint_surface_residual(y, n)
+                                   for y in rows]),
         termination=termination,
     )

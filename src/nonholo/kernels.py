@@ -42,6 +42,30 @@ Every finite constant -- the masses, ``eps_reg`` and the literals of the
 trees -- is an argument of a generated ``make(...)`` factory, and the
 compiled factories are cached by source text, so systems that differ only in
 such numbers (friction k, masses, ``eps_reg``) share one ``compile()``.
+
+The integrators step with generated code too, in three more functions:
+
+* ``step(t, y, dt)`` of RK4 and of RKF45 (which returns ``(y5, err)``) for the
+  flow [q, v]: bit for bit ``integrate._rk4_step`` and ``_rkf45_step`` on
+  ``y[n:] + accel(y[:n], y[n:], t)``, errors included;
+* ``flow(y, mu_e, t)`` on the flat row [q, p, v, pi, e, pi_e]: bit for bit
+  ``hamiltonian.hamiltonian_vector_field``, its e == 0 error, its pi = 0
+  branch (``accel``) and its contractions sum_j pi_j dF_j/dx_i over what
+  ``jac`` returns unrolled;
+* the same two steps for the extended flow, stage by stage
+  ``flow(row, mu(t), t)``.
+
+A step unpacks the row into locals and unrolls each stage per component,
+with the reference's operations in its order, zero weights included (0.0 *
+inf is NaN).  Its source depends only on (n, method), and that of ``flow`` on
+n alone, so each is compiled once per process (``_step_template``,
+``_flow_template``) and every system of that size binds it: a fresh spec,
+as CLI ``verify`` builds per config, generates no step source.
+``SystemSpec.rk4_step`` and ``rkf45_step`` keep the second-order steps on the
+spec, built on its first run of that method.  The extended step binds the
+run's mu_e, so it is built per run, with a ``flow`` that looks ``kernel`` and
+``jacobian_kernel`` up on the spec at each call, which keeps ``jac`` unbuilt
+until the first off-surface evaluation.
 """
 
 from __future__ import annotations
@@ -52,7 +76,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import engine
-from .errors import RegularityError
+from .errors import ExprDomainError, RegularityError
 from .expr import _EMIT_FN, _NS, Const, Unary, Var, partial_exprs
 
 _REGULARITY = ('raise RegularityError(f"constraint Gram matrix smallest eigenvalue '
@@ -358,3 +382,164 @@ def build_jacobian(spec) -> Callable:
     """``jac`` of a system (``SystemSpec.jacobian_kernel`` keeps it on the spec)."""
     (jac,) = _make(spec, {"jac": _jac})
     return jac
+
+
+# --- generated steps and the extended flow -----------------------------------------
+
+# Fehlberg 4(5) tableau, shared with the reference ``integrate._rkf45_step``
+_RKF_A = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
+_RKF_B = (
+    (),
+    (0.25,),
+    (3.0 / 32.0, 9.0 / 32.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+_RKF_C5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+_RKF_C4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
+
+
+def _tuple(names: list) -> str:
+    return "(" + "".join(f"{x}, " for x in names) + ")"
+
+
+def _second_order_stage(n: int) -> Callable:
+    """Stage of the flow [q, v] -> [v, accel(q, v, t)]: the v half of the stage state
+    is the q half of the slope, as in ``y[n:] + accel(...)``."""
+    def stage(lines: list, k: int, y: list, t: str) -> list:
+        a = [f"a{k}_{i}" for i in range(n)]
+        lines.append(f"[{', '.join(a)}] = accel({_tuple(y[:n])}, {_tuple(y[n:])}, {t})")
+        return y[n:] + a
+    return stage
+
+
+def _extended_stage(dim: int) -> Callable:
+    """Stage of the extended flow: ``flow(row, mu(t), t)`` on the stage row."""
+    def stage(lines: list, k: int, y: list, t: str) -> list:
+        slope = [f"k{k}_{i}" for i in range(dim)]
+        lines.append(f"[{', '.join(slope)}] = flow([{', '.join(y)}], mu({t}), {t})")
+        return slope
+    return stage
+
+
+def _rk4(dim: int, stage: Callable) -> list[str]:
+    """``integrate._rk4_step`` unrolled per component: the same operations in its order."""
+    s = [f"s{i}" for i in range(dim)]
+    lines = [f"[{', '.join(s)}] = y"]
+    k1 = stage(lines, 1, s, "t")
+    lines += ["half = 0.5 * dt", "th = t + half"]
+    y2 = [f"y2_{i}" for i in range(dim)]
+    lines += [f"{y2[i]} = {s[i]} + half * {k1[i]}" for i in range(dim)]
+    k2 = stage(lines, 2, y2, "th")
+    y3 = [f"y3_{i}" for i in range(dim)]
+    lines += [f"{y3[i]} = {s[i]} + half * {k2[i]}" for i in range(dim)]
+    k3 = stage(lines, 3, y3, "th")
+    y4 = [f"y4_{i}" for i in range(dim)]
+    lines += [f"{y4[i]} = {s[i]} + dt * {k3[i]}" for i in range(dim)] + ["tf = t + dt"]
+    k4 = stage(lines, 4, y4, "tf")
+    lines.append("sixth = dt / 6.0")
+    new = [f"{s[i]} + sixth * ({k1[i]} + 2.0 * ({k2[i]} + {k3[i]}) + {k4[i]})"
+           for i in range(dim)]
+    return lines + [f"return [{', '.join(new)}]"]
+
+
+def _rkf45(dim: int, stage: Callable) -> list[str]:
+    """``integrate._rkf45_step`` unrolled per component, returning (y5, err): every
+    increment kept, zero weights included (0.0 * inf is NaN)."""
+    s = [f"s{i}" for i in range(dim)]
+    lines = [f"[{', '.join(s)}] = y"]
+    slopes = []
+    for k in range(6):
+        y = s
+        if k:
+            lines += [f"b{k}_{j} = dt * {b!r}" for j, b in enumerate(_RKF_B[k])]
+            y = [f"y{k}_{i}" for i in range(dim)]
+            lines += [f"{y[i]} = {s[i]}" + "".join(f" + b{k}_{j} * {slopes[j][i]}"
+                                                   for j in range(k))
+                      for i in range(dim)]
+        lines.append(f"t{k} = t + {_RKF_A[k]!r} * dt")
+        slopes.append(stage(lines, k, y, f"t{k}"))
+    for order, weights in (("c5", _RKF_C5), ("c4", _RKF_C4)):
+        lines += [f"{order}_{k} = dt * {c!r}" for k, c in enumerate(weights)]
+    for out, order in (("z", "c5"), ("w", "c4")):
+        lines += [f"{out}{i} = {s[i]}" + "".join(f" + {order}_{k} * {slopes[k][i]}"
+                                                 for k in range(6))
+                  for i in range(dim)]
+    err = "".join(f"abs(z{i} - w{i}), " for i in range(dim))
+    return lines + [f"return [{', '.join(f'z{i}' for i in range(dim))}], max(({err}))"]
+
+
+_METHODS = {"rk4": _rk4, "rkf45": _rkf45}
+
+
+def _closure(args: str, signature: str, body: list, **names) -> Callable:
+    """The compiled ``make(args)`` that returns the function ``signature`` with the
+    given body, over a namespace of the given names and no builtins."""
+    name = signature.split("(")[0]
+    text = "\n".join([f"def make({args}):", f"    def {signature}:",
+                      *(f"        {line}" for line in body), f"    return {name}\n"])
+    namespace = dict(names, __builtins__={})
+    exec(compile(text, f"<{name}>", "exec"), namespace)
+    return namespace["make"]
+
+
+@lru_cache(maxsize=64)
+def _step_template(n: int, method: str, extended: bool) -> Callable:
+    """The compiled ``make`` of a step: ``make(accel)`` for the flow [q, v] of n
+    coordinates, ``make(flow, mu)`` for the extended row of 4n + 2.  The stage
+    arithmetic depends only on (n, method), so every system of n coordinates shares it."""
+    if extended:
+        dim, args, stage = 4 * n + 2, "flow, mu", _extended_stage(4 * n + 2)
+    else:
+        dim, args, stage = 2 * n, "accel", _second_order_stage(n)
+    return _closure(args, "step(t, y, dt)", _METHODS[method](dim, stage), abs=abs, max=max)
+
+
+@lru_cache(maxsize=64)
+def _flow_template(n: int) -> Callable:
+    """The compiled ``make(spec)`` of the extended flow of n coordinates: bit for bit
+    ``hamiltonian.hamiltonian_vector_field``, with the contractions
+    sum_j pi_j dF_j/dx_i unrolled and the kernels looked up on the spec at each call,
+    so ``jac`` is built on the first off-surface evaluation, as there."""
+    q, p, v, r = ([f"{k}{i}" for i in range(n)] for k in ("q", "p", "v", "r"))
+    f = [f"f{i}" for i in range(n)]
+    vd = [f"{r[i]} / e + {f[i]}" for i in range(n)]
+    pi_ed = "(0.0" + "".join(f" + {x} * {x}" for x in r) + ") / (2.0 * e * e)"
+
+    def out(pd, pid):
+        return f"return [{', '.join(v + pd + vd + pid + ['mu_e', pi_ed])}]"
+
+    def rows(name):
+        return ", ".join(f"[{', '.join(f'{name}{j}_{i}' for i in range(n))}]"
+                         for j in range(n))
+
+    def contraction(name, i):
+        return "(0.0" + "".join(f" + {r[j]} * {name}{j}_{i}" for j in range(n)) + ")"
+    body = [f"[{', '.join(q + p + v + r + ['e', 'pi_e'])}] = y",
+            "if e == 0.0:",
+            '    raise ExprDomainError("auxiliary variable e is zero")',
+            f"if {' and '.join([f'{x} == 0.0' for x in r] or ['True'])}:",
+            f"    [{', '.join(f)}] = spec.kernel.accel({_tuple(q)}, {_tuple(v)}, t)",
+            "    " + out(["0.0"] * n, [f"-{x}" for x in p]),
+            f"[{', '.join(f)}], [{rows('dq')}], [{rows('dv')}] = "
+            f"spec.jacobian_kernel({_tuple(q)}, {_tuple(v)}, t)",
+            out([f"-{contraction('dq', i)}" for i in range(n)],
+                [f"-{p[i]} - {contraction('dv', i)}" for i in range(n)])]
+    return _closure("spec", "flow(y, mu_e, t)", body, ExprDomainError=ExprDomainError)
+
+
+def build_step(spec, method: str) -> Callable:
+    """``step(t, y, dt)`` of the flow [q, v] (``SystemSpec.rk4_step`` and
+    ``rkf45_step`` keep it on the spec): the new row for rk4, (y5, err) for rkf45."""
+    return _step_template(spec.n, method, False)(spec.kernel.accel)
+
+
+def build_flow(spec) -> Callable:
+    """``flow(y, mu_e, t)`` of a system, bit for bit ``hamiltonian_vector_field``."""
+    return _flow_template(spec.n)(spec)
+
+
+def build_extended_step(spec, method: str, mu: Callable) -> Callable:
+    """``step(t, y, dt)`` of the extended flow with mu_e = mu(t), built per run."""
+    return _step_template(spec.n, method, True)(build_flow(spec), mu)

@@ -155,14 +155,22 @@ def vakonomic_phi_rhs(params: SleighParams, c: float, phi: float) -> float:
             + c * mv0 * math.cos(2.0 * phi)) / (2.0 * params.I * params.m)
 
 
-def nonlinear_sleigh_guards(extended: bool = False):
+def nonlinear_sleigh_guards(extended: bool = False, sign: float = 1.0):
     """Guard on yd1 for the nonlinear constraint chart (singular at yd1 = 0).
 
-    yd1 sits at index 3 in the second-order state [q, v] and at index 6 in
-    the extended flat state [q, p, v, pi, e, pi_e].
+    The guard is sign*yd1 - floor, with sign that of the initial yd1 (+1 by
+    default), so it turns negative when yd1 changes sign between two samples,
+    which abs(yd1) - floor cannot see.  yd1 sits at index 3 in the
+    second-order state [q, v] and at index 6 in the extended flat state
+    [q, p, v, pi, e, pi_e].
     """
     idx = 6 if extended else 3
-    return (("yd1_sign", lambda t, y: abs(y[idx]) - NONLINEAR_V1_FLOOR),)
+    return (("yd1_sign", lambda t, y: sign * y[idx] - NONLINEAR_V1_FLOOR),)
+
+
+def _nonlinear_guards(extended: bool = False, v0=None):
+    """``nonlinear_sleigh_guards`` signed by the initial yd1 = v0[0]."""
+    return nonlinear_sleigh_guards(extended, 1.0 if v0 is None else math.copysign(1.0, v0[0]))
 
 
 def damped_oscillator_spec(omega: float, k: float, sign: float = -1) -> SystemSpec:
@@ -195,7 +203,7 @@ def _vakonomic_initial_state(params: SleighParams):
     return (0.0,), (params.omega,)
 
 
-def _no_guards(extended: bool = False):
+def _no_guards(extended: bool = False, v0=None):
     return ()
 
 
@@ -208,6 +216,8 @@ class Scenario:
     the damped oscillator.  ``initial`` gives the default ``(q0, v0)``;
     without it q0 and v0 must come from the config.  The default run length
     ``half_turns*pi/|omega|`` turns the heading by ``half_turns*pi``.
+    ``guards(extended=False, v0=None)`` gives the event guards of a run
+    that starts at velocity v0, in the second-order or the extended layout.
     ``reference`` is the circular reference and ``closed_form`` the printed
     strong-friction solution.
     """
@@ -229,7 +239,7 @@ SCENARIOS = {
     "lda_linear": Scenario(_sleigh_builder("lda_linear"), initial_state,
                            reference=sleigh_circle),
     "lda_nonlinear": Scenario(_sleigh_builder("lda_nonlinear"), initial_state, half_turns=0.4,
-                              guards=nonlinear_sleigh_guards, reference=sleigh_circle),
+                              guards=_nonlinear_guards, reference=sleigh_circle),
     "vakonomic_phi": Scenario(_sleigh_builder("vakonomic_phi"), _vakonomic_initial_state),
     "damped_oscillator": Scenario(_damped_oscillator),
 }

@@ -21,7 +21,7 @@ def sleigh_run(variant="lda_linear", dt=1e-3, t_end=None, params=None, **cfg_kwa
     if t_end is None:
         t_end = scenario.t_end(params)
     cfg = IntegratorConfig(method="rk4", dt=dt, t_end=t_end, **cfg_kwargs)
-    return spec, integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards())
+    return spec, integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards(v0=v0))
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nonholo import action
-from nonholo.cli import Run, main
+from nonholo import action, engine
+from nonholo.cli import Run, load_run, main
+from nonholo.hamiltonian import hamiltonian_vector_field
+from nonholo.integrate import EVENT_TIME_TOL, _rk4_step
 from nonholo.scenarios import SCENARIO_NAMES
 
 
@@ -215,6 +218,62 @@ class TestHamiltonian:
         assert csv.exists() == (command == "simulate")
         if command == "hamiltonian":
             assert "checks" in err and "surface residual" not in out
+
+
+class TestChartSingularity:
+    """The nonlinear chart's yd1 guard, signed by the initial yd1, ends a run that steps
+    across yd1 = 0; abs(yd1) stays positive on both sides of such a step."""
+
+    @staticmethod
+    def run(tmp_path, v0=1.0, t_end=2.0, projection=False):
+        integrator = {"method": "rk4", "dt": 0.01, "t_end": t_end, "projection": projection}
+        cfg = base_config(tmp_path, integrator=integrator,
+                          system={"scenario": "lda_nonlinear", "params": {"v0": v0}})
+        return load_run(cfg)
+
+    @pytest.mark.parametrize("command", ["simulate", "hamiltonian"])
+    def test_pole_crossing_ends_in_an_event(self, tmp_path, capsys, command):
+        # yd1 = cos(t) crosses 0 at t = pi/2; projection turns the drift guard off
+        run = self.run(tmp_path, projection=command == "simulate")
+        spec, extended = run.spec, command == "hamiltonian"
+        if extended:
+            traj = run.hamiltonian_run()
+            y_prev = [*traj.q[-2], *traj.p[-2], *traj.v[-2], *traj.pi[-2], traj.e[-2],
+                      traj.pi_e[-2]]
+
+            def f(t, y):
+                return hamiltonian_vector_field(spec, y, run.mu_e(t), t)
+        else:
+            traj = run.second_order_run()
+            y_prev = [*traj.q[-2], *traj.v[-2]]
+
+            def f(t, y):
+                return y[3:] + engine.acceleration_raw(spec, y[:3], y[3:], t)
+        term = traj.termination
+        assert (term.kind, term.name) == ("event", "yd1_sign")
+        assert abs(term.t - math.pi / 2) < 1e-3
+        # the guard's zero along the run's own step from the last grid sample, to the last
+        # bit of the sub-step, lies within EVENT_TIME_TOL of the event
+        ((_, guard),) = run.scenario.guards(extended, run.v0)
+        t_prev = traj.times[-2]
+        lo, hi = 0.0, 0.01
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if guard(t_prev + mid, _rk4_step(f, t_prev, y_prev, mid)) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(term.t - (t_prev + hi)) <= EVENT_TIME_TOL
+        assert main([command, run.config_path]) == 0
+        if extended:
+            assert "hamiltonian run: event" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "hamiltonian"])
+    def test_negative_start_does_not_fire(self, tmp_path, command):
+        run = self.run(tmp_path, v0=-1.0, t_end=0.5)
+        traj = run.hamiltonian_run() if command == "hamiltonian" else run.second_order_run()
+        assert traj.termination.kind == "completed"
+        assert traj.times[-1] == pytest.approx(0.5) and np.all(traj.v[:, 0] < 0.0)
 
 
 class TestVerify:

@@ -111,9 +111,10 @@ class TestVectorField:
 
 class TestFlatRow:
     def test_integrator_and_stationarity_pass_rows(self, monkeypatch):
-        # the RK stages and the stationarity check hand the flow their flat rows, and
-        # the flow runs once per RHS and once per sample
-        calls = {"field": 0, "rhs": 0}
+        # the driver hands the run's generated step the flat rows, once per RK4 step,
+        # and the field itself is not called; the stationarity check runs the field
+        # on the flat rows once per sample
+        calls = {"field": 0, "step": 0}
         field = hamiltonian.hamiltonian_vector_field
 
         def counting_field(*args):
@@ -122,11 +123,12 @@ class TestFlatRow:
         monkeypatch.setattr(hamiltonian, "hamiltonian_vector_field", counting_field)
         drive = integrate._drive
 
-        def counting_drive(f, *args):
-            def rhs(t, y):
-                calls["rhs"] += 1
-                return f(t, y)
-            return drive(rhs, *args)
+        def counting_drive(step, *args):
+            def counted(t, y, dt):
+                assert type(y) is list and len(y) == 18
+                calls["step"] += 1
+                return step(t, y, dt)
+            return drive(counted, *args)
         monkeypatch.setattr(integrate, "_drive", counting_drive)
         spec = wheel_system()
         q0, v0 = wheel_state(0.3, 1.2, 0.8)
@@ -135,16 +137,15 @@ class TestFlatRow:
         ext = integrate_hamiltonian(spec, z0, lambda t: 0.1,
                                     IntegratorConfig(method="rk4", dt=0.01, t_end=0.1))
         assert ext.termination.kind == "completed"
-        assert calls == {"field": 40, "rhs": 40}
+        assert calls == {"field": 0, "step": 10}
         rkf = integrate_hamiltonian(spec, z0, lambda t: 0.1,
                                     IntegratorConfig(method="rkf45", dt=0.01, t_end=0.1))
         assert rkf.termination.kind == "completed"
-        assert calls["field"] == calls["rhs"] > 40
+        assert calls["field"] == 0 and calls["step"] >= 10 + len(rkf.times) - 1
         path = PhasePath(times=ext.times, q=ext.q, p=ext.p, v=ext.v, pi=ext.pi, e=ext.e,
                          pi_e=ext.pi_e, mu_e=np.full(len(ext.times), 0.1))
-        before = calls["field"]
         action.stationarity_check(spec, path)
-        assert calls["field"] == before + len(path.times) == before + 11
+        assert calls["field"] == len(path.times) == 11
 
 
 def dual_seeded_jacobians(spec, q, v, t):

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
-from nonholo import IntegratorConfig, engine, integrate_second_order, kernels
+from nonholo import IntegratorConfig, engine, hamiltonian, integrate, integrate_second_order, kernels
 from nonholo.engine import ConstraintSet, SystemSpec
-from nonholo.errors import ExprDomainError, RegularityError
+from nonholo.errors import ExprDomainError, NonholoError, RegularityError
 from nonholo.expr import Binary, Expr, Unary, Var, partial_exprs
-from nonholo.scenarios import SleighParams, build_sleigh_spec
+from nonholo.scenarios import SleighParams, build_sleigh_spec, initial_state
 from test_expr import _trees
 
 
@@ -318,6 +319,154 @@ class TestGramSolve:
         assert len(calls) == len(traj.times)
 
 
+# e = 0 raises; 1e-170 makes 2 e^2 underflow, so pi_e's rate divides by zero
+_E = st.one_of(st.sampled_from([0.0, -0.0, 1e-170, -1.3, math.nan, math.inf]),
+               st.floats(0.2, 2.0))
+
+
+@st.composite
+def _rows(draw, n: int):
+    """A flat row [q, p, v, pi, e, pi_e]; pi is zero (either sign) in about half."""
+    block = st.lists(_coordinate, min_size=n, max_size=n)
+    q, p, v = draw(block), draw(block), draw(block)
+    pi = draw(st.one_of(block, st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                        max_size=n)))
+    return [*q, *p, *v, *pi, draw(_E), draw(_coordinate)]
+
+
+def _mu(t):
+    return 0.3 - 0.5 * t
+
+
+def _second_order_rhs(spec):
+    """The flow [q, v] -> [v, F] as the integrator built it around ``accel``."""
+    n, accel = spec.n, spec.kernel.accel
+    return lambda t, y: y[n:] + accel(y[:n], y[n:], t)
+
+
+def _extended_rhs(spec):
+    return lambda t, y: hamiltonian.hamiltonian_vector_field(spec, y, _mu(t), t)
+
+
+_REFERENCE = {"rk4": integrate._rk4_step, "rkf45": integrate._rkf45_step}
+_DT = st.one_of(st.sampled_from([1e-3, 0.01, 0.5, -0.01, 0.0, math.inf]), st.floats(1e-4, 1.0))
+
+
+def _assert_steps_match(spec, rows, t, dt):
+    """Both generated steps of both flows are the reference steps, errors included."""
+    n = spec.n
+    for method, reference in _REFERENCE.items():
+        step = getattr(spec, f"{method}_step")
+        extended = kernels.build_extended_step(spec, method, _mu)
+        for row in rows:
+            y = row[:n] + row[2 * n:3 * n]
+            assert (_outcome(step, t, y, dt)
+                    == _outcome(reference, _second_order_rhs(spec), t, y, dt))
+            assert (_outcome(extended, t, row, dt)
+                    == _outcome(reference, _extended_rhs(spec), t, row, dt))
+
+
+def _assert_flow_matches(spec, rows, t):
+    flow = kernels.build_flow(spec)
+    for row in rows:
+        assert (_outcome(flow, row, _mu(t), t)
+                == _outcome(hamiltonian.hamiltonian_vector_field, spec, row, _mu(t), t))
+
+
+# 700 for |t - 0.4025| < 0.0005, else 0
+_WINDOW = "350*(1 + (0.0005 - abs(t - 0.4025))/abs(0.0005 - abs(t - 0.4025)))"
+
+
+class TestGeneratedSteps:
+    """The generated RK4/RKF45 steps and the extended flow: bit for bit the reference
+    ``integrate._rk4_step``, ``integrate._rkf45_step`` and
+    ``hamiltonian.hamiltonian_vector_field``, errors included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(data=st.data(), spec=_systems())
+    def test_generated_systems(self, data, spec):
+        rows = [data.draw(_rows(spec.n)) for _ in range(3)]
+        t, dt = data.draw(_coordinate), data.draw(_DT)
+        _assert_flow_matches(spec, rows, t)
+        _assert_steps_match(spec, rows, t, dt)
+
+    def test_named_systems_and_every_error(self):
+        # the flow's errors: e == 0 (ExprDomainError), the chart's yd1 = 0 (division by
+        # zero), a degenerate Gram matrix (RegularityError) and 2 e^2 underflowing to 0
+        # (ZeroDivisionError), each on and off the surface; an F that is inf only at
+        # the second RKF45 stage (t + dt/4, for t = 0.4 and dt = 0.01) makes that
+        # stage's zero weights count (0.0 * inf is NaN); with n = 0 the RKF45 error
+        # is the max of nothing, a ValueError
+        specs = [build_sleigh_spec(variant, SleighParams(k=30.0)) for variant in
+                 ("friction", "lda_linear", "lda_nonlinear", "vakonomic_phi")]
+        specs += [wheel_system(), potential_t_system(),
+                  engine.make_system(2, (1.0, 1.0), constraints=("v1", "2*v1")),
+                  engine.make_system(1, (1.0,), forces=(f"exp({_WINDOW})*exp({_WINDOW})",)),
+                  engine.make_system(0, ())]
+        rng = random.Random(11)
+        seen = set()
+        for spec in specs:
+            n = spec.n
+            rows = []
+            for pi in ([0.0] * n, [0.03] * n):
+                for e in (1.2, 0.0, 1e-170):
+                    rows.append([0.1] * n + [0.0] * n + [0.0] * n + pi + [e, 0.0])
+                    rows.append([0.1] * n + [0.02] * n + [0.0] * n + pi + [e, 0.01])
+                    rows.append([rng.uniform(-1, 1) for _ in range(3 * n)] + pi + [e, -0.01])
+            _assert_flow_matches(spec, rows, 0.4)
+            _assert_steps_match(spec, rows, 0.4, 0.01)
+            _assert_steps_match(spec, rows, -0.0, 0.01)
+            flow = kernels.build_flow(spec)
+            seen |= {_outcome(flow, row, 0.1, 0.4)[0] for row in rows}
+        assert seen == {"returned", ExprDomainError, RegularityError, ZeroDivisionError}
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), spec=_systems())
+    def test_on_surface_extended_run_is_the_second_order_run(self, data, spec):
+        """On the surface the extended RK4 run steps (q, v) as the second-order run does.
+        The floats are equal, not always their bits: the flow's v rate is pi/e + F with
+        pi = 0.0, so a F of -0.0 enters as 0.0."""
+        n = spec.n
+        q0 = data.draw(st.lists(_coordinate, min_size=n, max_size=n))
+        v0 = data.draw(st.lists(_coordinate, min_size=n, max_size=n))
+        cfg = IntegratorConfig(method="rk4", dt=0.02, t_end=0.3)
+        try:
+            v0 = list(engine.project_initial_state(spec, q0, v0))
+            ref = integrate_second_order(spec, q0, v0, cfg)
+        except (NonholoError, ArithmeticError, ValueError):
+            return  # no admissible start near this one
+        zeros = [0.0] * n
+        ext = integrate.integrate_hamiltonian(spec, [*q0, *zeros, *v0, *zeros, 1.0, 0.0],
+                                              None, cfg)
+        grid = len(ref.times) - (ref.termination.kind == "event")
+        assert len(ext.times) >= grid
+        for a, b in ((ext.q, ref.q), (ext.v, ref.v), (ext.times, ref.times)):
+            assert np.array_equal(a[:grid], b[:grid])
+        assert np.all(ext.surface_residual == 0.0)
+        if ref.termination.kind != "event":
+            assert ext.termination == ref.termination
+
+    def test_rk4_run_calls_accel_four_times_and_diag_once_per_step(self, monkeypatch):
+        calls = {"accel": 0, "diag": 0}
+        build = kernels.build
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(kernels, "build", lambda spec: kernels.Kernel(
+            *(counted(name, fn) for name, fn in zip(("accel", "diag"), build(spec)))))
+        params = SleighParams()
+        traj = integrate_second_order(build_sleigh_spec("lda_linear", params),
+                                      *initial_state(params),
+                                      IntegratorConfig(method="rk4", dt=0.01, t_end=1.0))
+        assert traj.termination.kind == "completed"
+        steps = len(traj.times) - 1
+        assert steps == 100
+        assert calls == {"accel": 4 * steps, "diag": steps + 1}
+
+
 class TestLifetime:
     def test_built_once_and_kept_on_the_spec(self):
         spec = build_sleigh_spec("lda_linear", SleighParams())
@@ -354,10 +503,27 @@ class TestLifetime:
         assert slow.kernel.accel(q, v, 0.0) != fast.kernel.accel(q, v, 0.0)
         assert slow.jacobian_kernel(q, v, 0.0) != fast.jacobian_kernel(q, v, 0.0)
 
+    def test_steps_built_on_first_run_from_a_shared_template(self):
+        # the stage arithmetic depends on (n, method) alone: a fresh spec of a known n,
+        # as CLI verify builds per config, generates no source
+        params = SleighParams()
+        first = build_sleigh_spec("lda_linear", params)
+        integrate_second_order(first, *initial_state(params),
+                               IntegratorConfig(method="rk4", dt=0.1, t_end=0.1))
+        assert "rk4_step" in vars(first) and "rkf45_step" not in vars(first)
+        misses = kernels._step_template.cache_info().misses
+        second = build_sleigh_spec("friction", SleighParams(k=5.0))
+        second.kernel
+        assert "rk4_step" not in vars(second)
+        assert second.rk4_step is second.rk4_step
+        assert second.rk4_step.__code__ is first.rk4_step.__code__
+        assert kernels._step_template.cache_info().misses == misses
+
     def test_kernel_does_not_outlive_its_spec(self):
         spec = build_sleigh_spec("lda_nonlinear", SleighParams())
         refs = [weakref.ref(spec), weakref.ref(spec.kernel.accel),
-                weakref.ref(spec.jacobian_kernel)]
+                weakref.ref(spec.jacobian_kernel), weakref.ref(spec.rk4_step),
+                weakref.ref(spec.rkf45_step)]
         del spec
         gc.collect()
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None] * 5

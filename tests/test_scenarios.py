@@ -117,6 +117,11 @@ class TestConstrainedVariants:
         # extended state [q(3), p(3), v(3), pi(3), e, pi_e]: v1 at index 6
         assert ge(0.0, [0] * 6 + [0.5] + [0] * 7) > 0
         assert ge(0.0, [0] * 6 + [0.0] + [9] * 7) < 0
+        # signed by the initial yd1: a sign change reads negative on either side
+        (_, g2), = nonlinear_sleigh_guards(sign=-1.0)
+        assert g2(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > g2(0.0, [0, 0, 0, 0.5, 0, 0])
+        (_, gs), = SCENARIOS["lda_nonlinear"].guards(v0=(-0.5, 0.0, 1.0))
+        assert gs(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > gs(0.0, [0, 0, 0, 0.5, 0, 0])
 
     def test_heading_rate_is_constant(self):
         _, traj = sleigh_run("lda_linear", dt=1e-3)
