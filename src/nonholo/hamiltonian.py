@@ -68,6 +68,9 @@ def hamiltonian_vector_field(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 
     qd = v; vd = pi/e + F; ed = mu_e;
     pd_i = -sum_j pi_j dF_j/dq_i; pid_i = -p_i - sum_j pi_j dF_j/dv_i;
     pi_ed = pi^2/(2 e^2).
+
+    Runs step the generated ``kernels`` flow, which equals this bit for bit,
+    errors included; this is its reference, and the stationarity check's flow.
     """
     n = spec.n
     q, p, v, pi, e = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n]

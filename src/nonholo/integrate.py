@@ -263,14 +263,14 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
     times, rows, diags = [], [], []
     # the state diag last ran on, and its (D, h, min_eig): the driver hands each
     # state to the guards and to accept at one time only, so diag runs once per sample
-    last = [None, None]
+    last_y = last_d = None
 
     def diagnostics(t, y):
-        if y is last[0]:
-            return last[1]
-        out = last[1] = diag(y[:n], y[n:], t)
-        last[0] = y
-        return out
+        nonlocal last_y, last_d
+        if y is not last_y:
+            last_d = diag(y[:n], y[n:], t)
+            last_y = y
+        return last_d
 
     def record(t, y):
         times.append(t)

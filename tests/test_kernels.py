@@ -10,13 +10,14 @@ import sys
 import weakref
 from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
 from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
-from nonholo import IntegratorConfig, engine, hamiltonian, integrate, integrate_second_order, kernels
+from nonholo import (IntegratorConfig, engine, hamiltonian, integrate, integrate_second_order,
+                     kernels)
 from nonholo.engine import ConstraintSet, SystemSpec
 from nonholo.errors import ExprDomainError, NonholoError, RegularityError
 from nonholo.expr import Binary, Expr, Unary, Var, partial_exprs
@@ -339,7 +340,7 @@ def _mu(t):
 
 
 def _second_order_rhs(spec):
-    """The flow [q, v] -> [v, F] as the integrator built it around ``accel``."""
+    """The flow [q, v] -> [v, F] on ``accel``: what the generated step unrolls."""
     n, accel = spec.n, spec.kernel.accel
     return lambda t, y: y[n:] + accel(y[:n], y[n:], t)
 
