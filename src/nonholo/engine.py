@@ -19,15 +19,14 @@ force.  Dual numbers reach the engine only through
 seeds q and v with them, one level deep.
 
 The float F of a run, and its Jacobians, do not come from here.
-``SystemSpec.kernel`` (module ``kernels``) compiles each system once, on first
-use, into straight-line ``accel(q, v, t)`` and ``diag(q, v, t) -> (D, h,
-min_eig)``, and ``SystemSpec.jacobian_kernel`` into ``jac(q, v, t) -> (F, dfdq,
-dfdv)`` on the first off-surface call.  They must equal ``acceleration_raw``,
-``constraint_values`` plus ``multipliers_raw`` and ``acceleration_jacobian_raw``
-bit for bit, errors included (``tests/test_kernels.py``).  The integrator
-(through the generated steps ``SystemSpec.rk4_step``/``rkf45_step`` and the
-extended flow), the Hamiltonian flow and the action functionals call the
-kernels; the functions here stay the dual-capable reference, and serve the
+``SystemSpec.kernel`` (module ``kernels``) holds the system's generated code,
+built on first use: straight-line ``accel(q, v, t)``, ``diag(q, v, t) -> (D,
+h, min_eig)`` and, on the first off-surface call, ``jac(q, v, t) -> (F, dfdq,
+dfdv)``.  They must equal ``acceleration_raw``, ``constraint_values`` plus
+``multipliers_raw`` and ``acceleration_jacobian_raw`` bit for bit, errors
+included (``tests/test_kernels.py``).  The integrator (through the kernel's
+generated steps and flow), the Hamiltonian flow and the action functionals
+call them; the functions here stay the dual-capable reference, and serve the
 projection, the Poisson brackets and the tests.
 
 The reference takes no shortcut: every m >= 1 goes through one Gram fill,
@@ -86,32 +85,10 @@ class SystemSpec:
 
     @cached_property
     def kernel(self):
-        """The system's straight-line float kernels (``kernels.Kernel``), built on first
-        use and kept on this spec, so they live exactly as long as it does."""
-        from .kernels import build  # kernels builds on this module's solver helpers
-        return build(self)
-
-    @cached_property
-    def jacobian_kernel(self):
-        """The system's straight-line ``jac(q, v, t) -> (F, dfdq, dfdv)``; built apart
-        from ``kernel``, on first use (only off-surface flows call it), and kept on this
-        spec."""
-        from .kernels import build_jacobian
-        return build_jacobian(self)
-
-    @cached_property
-    def rk4_step(self):
-        """Generated RK4 ``step(t, y, dt)`` of the flow [q, v]: bit for bit
-        ``integrate._rk4_step`` on ``kernel.accel``; built on the first RK4 run."""
-        from .kernels import build_step
-        return build_step(self, "rk4")
-
-    @cached_property
-    def rkf45_step(self):
-        """Generated RKF45 ``step(t, y, dt) -> (y5, err)`` of the flow [q, v]: bit for
-        bit ``integrate._rkf45_step``; built on the first RKF45 run."""
-        from .kernels import build_step
-        return build_step(self, "rkf45")
+        """The system's generated code (``kernels.Kernel``), built on first use and kept
+        on this spec, so it lives exactly as long as the spec does."""
+        from .kernels import Kernel  # kernels builds on this module's solver helpers
+        return Kernel(self)
 
 
 def make_system(

@@ -83,7 +83,7 @@ def hamiltonian_vector_field(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 
         pid = [-x for x in p]
     else:
         # F and its Jacobians from one multiplier solve
-        f, dfdq, dfdv = spec.jacobian_kernel(q, v, t)
+        f, dfdq, dfdv = spec.kernel.jac(q, v, t)
         pd = [0.0] * n
         pid = [0.0] * n
         for i in range(n):

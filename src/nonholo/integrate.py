@@ -3,9 +3,10 @@ the extended-phase-space flow, with per-sample constraint diagnostics and
 sign-change event location by bisection.
 
 A run steps with the system's generated step (module ``kernels``), not with
-a right-hand side: ``SystemSpec.rk4_step`` or ``rkf45_step`` for the flow
-[q, v], which call the compiled ``accel``, and for the extended flow a step
-built per run around the generated ``flow(y, mu_e, t)`` and the run's mu_e.
+a right-hand side: ``spec.kernel.rk4_step`` or ``rkf45_step`` for the flow
+[q, v], which call the compiled ``accel``, and for the extended flow
+``spec.kernel.extended_step``, built per run around the generated
+``flow(y, mu_e, t)`` and the run's mu_e.
 They unroll ``_rk4_step`` and ``_rkf45_step`` below, which stay as the
 reference the tests hold them to, bit for bit (as ``engine`` is for the
 kernels).  ``_drive`` gets the step, and event bisection uses the same step.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, hamiltonian, kernels
+from . import engine, hamiltonian
 from .engine import SystemSpec
 from .errors import InitialStateError, NonholoError, RegularityError
 from .kernels import _RKF_A, _RKF_B, _RKF_C4, _RKF_C5
@@ -259,7 +260,7 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
             )
 
     diag = spec.kernel.diag
-    step = spec.rk4_step if cfg.method == "rk4" else spec.rkf45_step
+    step = spec.kernel.rk4_step if cfg.method == "rk4" else spec.kernel.rkf45_step
     times, rows, diags = [], [], []
     # the state diag last ran on, and its (D, h, min_eig): the driver hands each
     # state to the guards and to accept at one time only, so diag runs once per sample
@@ -335,7 +336,7 @@ def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, gua
     if mu_e is None:
         mu_e = lambda t: 0.0
 
-    step = kernels.build_extended_step(spec, cfg.method, mu_e)
+    step = spec.kernel.extended_step(cfg.method, mu_e)
     times, rows = [], []
 
     def accept(t, y):

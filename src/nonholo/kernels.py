@@ -7,12 +7,13 @@ Three generated functions serve every float caller of F and of its Jacobians:
   followed by ``engine.multipliers_raw``;
 * ``jac(q, v, t) -> (F, dfdq, dfdv)``, bit for bit ``engine.acceleration_jacobian_raw``.
 
-``SystemSpec.kernel`` builds ``accel`` and ``diag`` on first use and keeps them
-on the spec.  ``SystemSpec.jacobian_kernel`` builds ``jac`` apart, on the first
-off-surface (pi != 0) flow evaluation, because only such flows call it and its
-source, with the second partials of every constraint, takes 0.4-0.8 ms to
-generate on the sleigh systems and the wheel: a cost that CLI ``verify``, which
-builds a fresh spec per config and stays on the surface, would otherwise pay.
+``SystemSpec.kernel`` is the one holder of a system's generated code, a
+:class:`Kernel` built on first use and kept on the spec.  ``accel`` and
+``diag`` are built with it, ``jac`` on the first off-surface (pi != 0) flow
+evaluation: its source, with the second partials of every constraint, takes
+0.4-0.8 ms to generate on the sleigh systems and the wheel, a cost that CLI
+``verify``, which builds a fresh spec per config and stays on the surface,
+would otherwise pay.
 
 The generated source runs the generic operations in the generic order.  All
 three functions share one prefix: the constraint values (``diag`` only), then
@@ -38,10 +39,11 @@ certificate that it clears the floor fails (``_certified``), so ``accel`` and
 ``jac`` raise exactly where the generic check does.  The 2n Jacobian directions
 of ``jac`` go through one ``np.linalg.solve`` for m >= 2.
 
-Every finite constant -- the masses, ``eps_reg`` and the literals of the
-trees -- is an argument of a generated ``make(...)`` factory, and the
-compiled factories are cached by source text, so systems that differ only in
-such numbers (friction k, masses, ``eps_reg``) share one ``compile()``.
+Every generated source compiles through ``_compile``, the one ``exec``, cached
+by text, into a ``make(...)`` factory over what the source binds.  For these
+three that is every finite constant -- the masses, ``eps_reg`` and the
+literals of the trees -- so systems that differ only in such numbers
+(friction k, masses, ``eps_reg``) share one ``compile()``.
 
 The integrators step with generated code too, in three more functions:
 
@@ -58,19 +60,18 @@ The integrators step with generated code too, in three more functions:
 A step unpacks the row into locals and unrolls each stage per component,
 with the reference's operations in its order, zero weights included (0.0 *
 inf is NaN).  Its source depends only on (n, method), and that of ``flow`` on
-n alone, so each is compiled once per process (``_step_template``,
-``_flow_template``) and every system of that size binds it: a fresh spec,
-as CLI ``verify`` builds per config, generates no step source.
-``SystemSpec.rk4_step`` and ``rkf45_step`` keep the second-order steps on the
-spec, built on its first run of that method.  The extended step binds the
-run's mu_e, so it is built per run, with a ``flow`` that looks ``kernel`` and
-``jacobian_kernel`` up on the spec at each call, which keeps ``jac`` unbuilt
-until the first off-surface evaluation.
+n alone, so each text is generated once per process (``_step_template``,
+``_flow_template``) and every system of that size binds its one compile: a
+fresh spec, as CLI ``verify`` builds per config, generates no step source.
+The kernel builds its two steps and ``flow`` on first use and keeps them;
+``extended_step`` binds the run's mu_e, so it is built per run.  ``flow``
+looks ``accel`` and ``jac`` up on the kernel at each call, which keeps
+``jac`` unbuilt until the first off-surface evaluation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,11 +82,6 @@ from .expr import _EMIT_FN, _NS, Const, Unary, Var, partial_exprs
 
 _REGULARITY = ('raise RegularityError(f"constraint Gram matrix smallest eigenvalue '
                '{min_eig:.3e} below floor {eps:.3e}")')
-
-
-class Kernel(NamedTuple):
-    accel: Callable
-    diag: Callable
 
 
 class _Constants:
@@ -343,45 +339,37 @@ def _jac(spec, body: _Body) -> list[str]:
                          f"{block(range(n))}, {block(range(n, 2 * n))}"]
 
 
+def _text(args: list, functions: dict) -> str:
+    """Source of ``make(*args)``, which defines each function (signature -> body lines)
+    and returns them as a tuple, in that order."""
+    lines = [f"def make({', '.join(args)}):"]
+    for signature, body in functions.items():
+        lines += [f"    def {signature}:", *(f"        {line}" for line in body)]
+    names = ", ".join(signature.split("(")[0] for signature in functions)
+    return "\n".join(lines + [f"    return {names},"]) + "\n"
+
+
 def _source(spec, emitters: dict) -> tuple[str, list]:
     """(source of ``make``, the values of its arguments): ``make`` returns the functions
-    that ``emitters`` (name -> source lines of the body) generate, in that order."""
+    ``f(q, v, t)`` that ``emitters`` (name -> source lines of the body) generate."""
     constants = _Constants(spec)
-    bodies = {name: emit(spec, _Body(constants)) for name, emit in emitters.items()}
     unpack = [f"{', '.join(f'{k}{i}' for i in range(spec.n))}, = {k}"
               for k in "qv" if spec.n]
-    lines = [f"def make({', '.join(constants.names)}):"]
-    for name, body in bodies.items():
-        lines.append(f"    def {name}(q, v, t):")
-        lines += [f"        {line}" for line in unpack + body]
-    lines.append(f"    return {', '.join(bodies)},")
-    return "\n".join(lines) + "\n", constants.values
+    functions = {f"{name}(q, v, t)": unpack + emit(spec, _Body(constants))
+                 for name, emit in emitters.items()}
+    return _text(constants.names, functions), constants.values
 
 
-@lru_cache(maxsize=64)
-def _factory(text: str) -> Callable:
-    """The compiled ``make`` of a kernel source."""
-    namespace = dict(_NS, RegularityError=RegularityError, abs=abs,
-                     _gram_min_eig=engine._gram_min_eig, _lu_solve=np.linalg.solve,
-                     _array=np.array)
+@lru_cache(maxsize=128)
+def _compile(text: str) -> Callable:
+    """The compiled ``make`` of a generated source: the one ``exec``, over the ``expr``
+    helpers, the error types and the solver helpers, with no builtins.  The namespace is
+    read here, so a patched ``engine._gram_min_eig`` reaches only later compiles."""
+    namespace = dict(_NS, RegularityError=RegularityError, ExprDomainError=ExprDomainError,
+                     abs=abs, max=max, _gram_min_eig=engine._gram_min_eig,
+                     _lu_solve=np.linalg.solve, _array=np.array)
     exec(compile(text, "<kernel>", "exec"), namespace)
     return namespace["make"]
-
-
-def _make(spec, emitters: dict) -> tuple:
-    text, values = _source(spec, emitters)
-    return _factory(text)(*values)
-
-
-def build(spec) -> Kernel:
-    """``accel`` and ``diag`` of a system (``SystemSpec.kernel`` keeps them on the spec)."""
-    return Kernel(*_make(spec, {"accel": _accel, "diag": _diag}))
-
-
-def build_jacobian(spec) -> Callable:
-    """``jac`` of a system (``SystemSpec.jacobian_kernel`` keeps it on the spec)."""
-    (jac,) = _make(spec, {"jac": _jac})
-    return jac
 
 
 # --- generated steps and the extended flow -----------------------------------------
@@ -473,35 +461,24 @@ def _rkf45(dim: int, stage: Callable) -> list[str]:
 _METHODS = {"rk4": _rk4, "rkf45": _rkf45}
 
 
-def _closure(args: str, signature: str, body: list, **names) -> Callable:
-    """The compiled ``make(args)`` that returns the function ``signature`` with the
-    given body, over a namespace of the given names and no builtins."""
-    name = signature.split("(")[0]
-    text = "\n".join([f"def make({args}):", f"    def {signature}:",
-                      *(f"        {line}" for line in body), f"    return {name}\n"])
-    namespace = dict(names, __builtins__={})
-    exec(compile(text, f"<{name}>", "exec"), namespace)
-    return namespace["make"]
-
-
 @lru_cache(maxsize=64)
-def _step_template(n: int, method: str, extended: bool) -> Callable:
-    """The compiled ``make`` of a step: ``make(accel)`` for the flow [q, v] of n
+def _step_template(n: int, method: str, extended: bool) -> str:
+    """Source of the ``make`` of a step: ``make(accel)`` for the flow [q, v] of n
     coordinates, ``make(flow, mu)`` for the extended row of 4n + 2.  The stage
     arithmetic depends only on (n, method), so every system of n coordinates shares it."""
     if extended:
-        dim, args, stage = 4 * n + 2, "flow, mu", _extended_stage(4 * n + 2)
+        dim, args, stage = 4 * n + 2, ["flow", "mu"], _extended_stage(4 * n + 2)
     else:
-        dim, args, stage = 2 * n, "accel", _second_order_stage(n)
-    return _closure(args, "step(t, y, dt)", _METHODS[method](dim, stage), abs=abs, max=max)
+        dim, args, stage = 2 * n, ["accel"], _second_order_stage(n)
+    return _text(args, {"step(t, y, dt)": _METHODS[method](dim, stage)})
 
 
 @lru_cache(maxsize=64)
-def _flow_template(n: int) -> Callable:
-    """The compiled ``make(spec)`` of the extended flow of n coordinates: bit for bit
+def _flow_template(n: int) -> str:
+    """Source of the ``make(kernel)`` of the extended flow of n coordinates: bit for bit
     ``hamiltonian.hamiltonian_vector_field``, with the contractions
-    sum_j pi_j dF_j/dx_i unrolled and the kernels looked up on the spec at each call,
-    so ``jac`` is built on the first off-surface evaluation, as there."""
+    sum_j pi_j dF_j/dx_i unrolled and ``accel`` and ``jac`` looked up on the kernel at
+    each call, so ``jac`` is built on the first off-surface evaluation, as there."""
     q, p, v, r = ([f"{k}{i}" for i in range(n)] for k in ("q", "p", "v", "r"))
     f = [f"f{i}" for i in range(n)]
     vd = [f"{r[i]} / e + {f[i]}" for i in range(n)]
@@ -520,26 +497,56 @@ def _flow_template(n: int) -> Callable:
             "if e == 0.0:",
             '    raise ExprDomainError("auxiliary variable e is zero")',
             f"if {' and '.join([f'{x} == 0.0' for x in r] or ['True'])}:",
-            f"    [{', '.join(f)}] = spec.kernel.accel({_tuple(q)}, {_tuple(v)}, t)",
+            f"    [{', '.join(f)}] = kernel.accel({_tuple(q)}, {_tuple(v)}, t)",
             "    " + out(["0.0"] * n, [f"-{x}" for x in p]),
             f"[{', '.join(f)}], [{rows('dq')}], [{rows('dv')}] = "
-            f"spec.jacobian_kernel({_tuple(q)}, {_tuple(v)}, t)",
+            f"kernel.jac({_tuple(q)}, {_tuple(v)}, t)",
             out([f"-{contraction('dq', i)}" for i in range(n)],
                 [f"-{p[i]} - {contraction('dv', i)}" for i in range(n)])]
-    return _closure("spec", "flow(y, mu_e, t)", body, ExprDomainError=ExprDomainError)
+    return _text(["kernel"], {"flow(y, mu_e, t)": body})
 
 
-def build_step(spec, method: str) -> Callable:
-    """``step(t, y, dt)`` of the flow [q, v] (``SystemSpec.rk4_step`` and
-    ``rkf45_step`` keep it on the spec): the new row for rk4, (y5, err) for rkf45."""
-    return _step_template(spec.n, method, False)(spec.kernel.accel)
+class Kernel:
+    """The generated code of one system, kept on its spec (``SystemSpec.kernel``), so it
+    lives exactly as long as the spec does.  ``accel`` and ``diag`` are built with it;
+    ``jac``, ``rk4_step``, ``rkf45_step`` and ``flow`` on first use, and kept;
+    ``extended_step`` per run, because it binds the run's mu_e."""
 
+    def __init__(self, spec):
+        self.spec = spec
+        self.accel, self.diag = self._kernels({"accel": _accel, "diag": _diag})
 
-def build_flow(spec) -> Callable:
-    """``flow(y, mu_e, t)`` of a system, bit for bit ``hamiltonian_vector_field``."""
-    return _flow_template(spec.n)(spec)
+    @cached_property
+    def jac(self) -> Callable:
+        """``jac(q, v, t) -> (F, dfdq, dfdv)``; only off-surface flows call it."""
+        (jac,) = self._kernels({"jac": _jac})
+        return jac
 
+    @cached_property
+    def rk4_step(self) -> Callable:
+        """RK4 ``step(t, y, dt)`` of the flow [q, v]: the new row."""
+        return self._step("rk4", False, self.accel)
 
-def build_extended_step(spec, method: str, mu: Callable) -> Callable:
-    """``step(t, y, dt)`` of the extended flow with mu_e = mu(t), built per run."""
-    return _step_template(spec.n, method, True)(build_flow(spec), mu)
+    @cached_property
+    def rkf45_step(self) -> Callable:
+        """RKF45 ``step(t, y, dt) -> (y5, err)`` of the flow [q, v]."""
+        return self._step("rkf45", False, self.accel)
+
+    @cached_property
+    def flow(self) -> Callable:
+        """``flow(y, mu_e, t)`` of the extended row, bit for bit
+        ``hamiltonian_vector_field``."""
+        (flow,) = _compile(_flow_template(self.spec.n))(self)
+        return flow
+
+    def extended_step(self, method: str, mu: Callable) -> Callable:
+        """``step(t, y, dt)`` of the extended flow with mu_e = mu(t)."""
+        return self._step(method, True, self.flow, mu)
+
+    def _kernels(self, emitters: dict) -> tuple:
+        text, values = _source(self.spec, emitters)
+        return _compile(text)(*values)
+
+    def _step(self, method: str, extended: bool, *args) -> Callable:
+        (step,) = _compile(_step_template(self.spec.n, method, extended))(*args)
+        return step

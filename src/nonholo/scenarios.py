@@ -75,13 +75,13 @@ def sleigh_friction_analytic(params: SleighParams, t: float):
     """Strong-friction closed form, evaluated exactly as printed.
 
     Soft reference only: the phase constants are dimensionally suspect, so
-    numeric comparisons against this are reported, never gating.  Requires
-    k > 2*m*omega (real decay rates).
+    numeric comparisons against this are reported, never gating.  Raises
+    ValueError unless k > 2*m*|omega| (distinct real decay rates).
     """
     m, k, w, v0 = params.m, params.k, params.omega, params.v0
     disc = k * k - 4.0 * w * w * m * m
-    if disc < 0:
-        raise ValueError("analytic form needs k > 2*m*omega (real roots)")
+    if not disc > 0:
+        raise ValueError("analytic form needs k > 2*m*|omega| (distinct real decay rates)")
     root = math.sqrt(disc)
     d2 = (k + root) / (2.0 * m)
     d1 = (k - root) / (2.0 * m)
@@ -155,22 +155,19 @@ def vakonomic_phi_rhs(params: SleighParams, c: float, phi: float) -> float:
             + c * mv0 * math.cos(2.0 * phi)) / (2.0 * params.I * params.m)
 
 
-def nonlinear_sleigh_guards(extended: bool = False, sign: float = 1.0):
-    """Guard on yd1 for the nonlinear constraint chart (singular at yd1 = 0).
+def nonlinear_sleigh_guards(extended: bool = False, v0=None):
+    """Guard on yd1 for the nonlinear constraint chart (singular at yd1 = 0), for a
+    run that starts at velocity v0.
 
-    The guard is sign*yd1 - floor, with sign that of the initial yd1 (+1 by
-    default), so it turns negative when yd1 changes sign between two samples,
-    which abs(yd1) - floor cannot see.  yd1 sits at index 3 in the
+    The guard is sign*yd1 - floor, with sign that of the initial yd1 = v0[0] (+1
+    when v0 is None), so it turns negative when yd1 changes sign between two
+    samples, which abs(yd1) - floor cannot see.  yd1 sits at index 3 in the
     second-order state [q, v] and at index 6 in the extended flat state
     [q, p, v, pi, e, pi_e].
     """
     idx = 6 if extended else 3
+    sign = 1.0 if v0 is None else math.copysign(1.0, v0[0])
     return (("yd1_sign", lambda t, y: sign * y[idx] - NONLINEAR_V1_FLOOR),)
-
-
-def _nonlinear_guards(extended: bool = False, v0=None):
-    """``nonlinear_sleigh_guards`` signed by the initial yd1 = v0[0]."""
-    return nonlinear_sleigh_guards(extended, 1.0 if v0 is None else math.copysign(1.0, v0[0]))
 
 
 def damped_oscillator_spec(omega: float, k: float, sign: float = -1) -> SystemSpec:
@@ -239,7 +236,7 @@ SCENARIOS = {
     "lda_linear": Scenario(_sleigh_builder("lda_linear"), initial_state,
                            reference=sleigh_circle),
     "lda_nonlinear": Scenario(_sleigh_builder("lda_nonlinear"), initial_state, half_turns=0.4,
-                              guards=_nonlinear_guards, reference=sleigh_circle),
+                              guards=nonlinear_sleigh_guards, reference=sleigh_circle),
     "vakonomic_phi": Scenario(_sleigh_builder("vakonomic_phi"), _vakonomic_initial_state),
     "damped_oscillator": Scenario(_damped_oscillator),
 }

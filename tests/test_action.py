@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import potential_t_system, sleigh_run, wheel_system
-from nonholo import action, hamiltonian, kernels
+from nonholo import action, hamiltonian
 from nonholo.action import (
     first_order_action,
     gauge_invariance_check,
@@ -229,7 +229,7 @@ class TestSampleSpans:
     @pytest.mark.parametrize("N", [5, 9, 23])
     def test_one_flow_call_per_sample(self, monkeypatch, N):
         # the gradient is one pass over the flow of H, no action integrand; the flow
-        # takes the force Jacobians (the spec's Jacobian kernel) only where pi != 0
+        # takes the force Jacobians (spec.kernel.jac) only where pi != 0
         calls = {"field": 0, "jacobian": 0, "integrand": 0}
 
         def counting(fn, key):
@@ -241,12 +241,10 @@ class TestSampleSpans:
         def counted(module, name, key):
             monkeypatch.setattr(module, name, counting(getattr(module, name), key))
         counted(hamiltonian, "hamiltonian_vector_field", "field")
-        build_jacobian = kernels.build_jacobian
-        monkeypatch.setattr(kernels, "build_jacobian",
-                            lambda spec: counting(build_jacobian(spec), "jacobian"))
         counted(action, "_integrand_at", "integrand")
         n = 2
         spec = make_system(n, (1.0, 2.0), forces=FORCE_SETS["mild"])
+        spec.kernel.jac = counting(spec.kernel.jac, "jacobian")
         path = constant_phase_path(n=n, T=(N - 1) * 0.1, dt=0.1)
         stationarity_check(spec, path)
         assert calls == {"field": N, "jacobian": 0, "integrand": 0}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonholo import action, engine
+from nonholo import action, engine, kernels
 from nonholo.cli import Run, load_run, main
 from nonholo.hamiltonian import hamiltonian_vector_field
 from nonholo.integrate import EVENT_TIME_TOL, _rk4_step
@@ -294,6 +294,23 @@ class TestVerify:
         assert len(rec["amplitudes"]) == len(rec["deltas"]) == 3
         assert rec["boundary_note"] == ""
 
+    @pytest.mark.parametrize("k, printed", [(0.5, False), (3.0, True)])
+    def test_printed_form_only_where_its_rates_are_real(self, tmp_path, capsys, k, printed):
+        # with omega < 0, k = 0.5 lies below 2 m |omega| = 2: the printed closed form has
+        # no real decay rates, so only the circle is compared; k = 3 lies above
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, system={"scenario": "friction",
+                                            "params": {"k": k, "omega": -1.0}},
+                          integrator={"method": "rk4", "dt": 0.01, "t_end": 0.5},
+                          checks=[{"type": "analytic-compare", "tolerance": 1.0}],
+                          outputs={"report_json": str(report)})
+        assert main(["verify", cfg]) == 0
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rec["passed"] is True
+        assert ("printed_form_deviation" in rec) == ("printed_form_gating" in rec) == printed
+        if not printed:
+            assert rec["max_deviation"] == pytest.approx(0.113, abs=5e-4)
+
     def test_stationarity_check(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         cfg = base_config(tmp_path,
@@ -381,8 +398,13 @@ class TestVerify:
             initial={"q0": [1.0], "v0": [0.0]},
             checks=[{"type": "drift"}, {"type": "analytic-compare"}])
 
-    def test_readme_example_config_passes(self, tmp_path):
-        # the json block of README.md, with its outputs moved under tmp_path
+    def test_readme_example_config_passes(self, tmp_path, monkeypatch):
+        # the json block of README.md, with its outputs moved under tmp_path; verify
+        # stays on the constraint surface, so it never generates jac
+        emitted = []
+        emit = kernels._jac
+        monkeypatch.setattr(kernels, "_jac", lambda spec, body: emitted.append(spec)
+                            or emit(spec, body))
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
         cfg = json.loads(block)
@@ -393,6 +415,7 @@ class TestVerify:
         records = [json.loads(line)
                    for line in Path(cfg["outputs"]["report_json"]).read_text().splitlines()]
         assert [r["passed"] for r in records] == [True] * 5
+        assert emitted == []
         # only the checks that take a tolerance record one
         assert [r.get("tolerance") for r in records] == [1e-9, 1e-6, 1e-8, None, None]
 

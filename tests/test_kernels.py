@@ -1,6 +1,6 @@
 """Compiled per-system kernels: bit for bit the generic engine, built once per
-spec (the Jacobian kernel apart, on first use), shared across parameter
-variants, and gone with their spec."""
+spec (``jac``, the steps and the flow apart, on first use), shared across
+parameter variants, and gone with their spec."""
 
 import gc
 import math
@@ -95,8 +95,7 @@ def _generic_diag(spec, q, v, t):
 
 
 def _assert_kernel_matches(spec, states):
-    accel, diag = spec.kernel
-    jac = spec.jacobian_kernel
+    accel, diag, jac = spec.kernel.accel, spec.kernel.diag, spec.kernel.jac
     for q, v, t in states:
         assert _outcome(accel, q, v, t) == _outcome(engine.acceleration_raw, spec, q, v, t)
         assert _outcome(diag, q, v, t) == _outcome(_generic_diag, spec, q, v, t)
@@ -157,7 +156,7 @@ class TestMatchesGeneric:
         spec = engine.make_system(2, (1.0, 1.0), forces=("q1", force))
         q, v = (0.1, 0.2), (0.3, 4.96e-300)
         assert math.isfinite(spec.kernel.accel(q, v, 0.0)[1])
-        for jacobian in (partial(engine.acceleration_jacobian_raw, spec), spec.jacobian_kernel):
+        for jacobian in (partial(engine.acceleration_jacobian_raw, spec), spec.kernel.jac):
             with pytest.raises(ExprDomainError):
                 jacobian(q, v, 0.0)
 
@@ -309,13 +308,13 @@ class TestGramSolve:
             calls.append(gram)
             return min_eig(gram)
         monkeypatch.setattr(engine, "_gram_min_eig", counted)
-        kernels._factory.cache_clear()  # compile afresh, over the counter
+        kernels._compile.cache_clear()  # compile afresh, over the counter
         try:
             q0, v0 = wheel_state(0.4, 1.1, 0.7)
             traj = integrate_second_order(wheel_system(), q0, v0,
                                           IntegratorConfig(method="rk4", dt=0.01, t_end=0.5))
         finally:
-            kernels._factory.cache_clear()  # no later spec gets the counter
+            kernels._compile.cache_clear()  # no later spec gets the counter
         assert len(traj.times) == 51
         assert len(calls) == len(traj.times)
 
@@ -357,8 +356,8 @@ def _assert_steps_match(spec, rows, t, dt):
     """Both generated steps of both flows are the reference steps, errors included."""
     n = spec.n
     for method, reference in _REFERENCE.items():
-        step = getattr(spec, f"{method}_step")
-        extended = kernels.build_extended_step(spec, method, _mu)
+        step = getattr(spec.kernel, f"{method}_step")
+        extended = spec.kernel.extended_step(method, _mu)
         for row in rows:
             y = row[:n] + row[2 * n:3 * n]
             assert (_outcome(step, t, y, dt)
@@ -368,7 +367,7 @@ def _assert_steps_match(spec, rows, t, dt):
 
 
 def _assert_flow_matches(spec, rows, t):
-    flow = kernels.build_flow(spec)
+    flow = spec.kernel.flow
     for row in rows:
         assert (_outcome(flow, row, _mu(t), t)
                 == _outcome(hamiltonian.hamiltonian_vector_field, spec, row, _mu(t), t))
@@ -417,7 +416,7 @@ class TestGeneratedSteps:
             _assert_flow_matches(spec, rows, 0.4)
             _assert_steps_match(spec, rows, 0.4, 0.01)
             _assert_steps_match(spec, rows, -0.0, 0.01)
-            flow = kernels.build_flow(spec)
+            flow = spec.kernel.flow
             seen |= {_outcome(flow, row, 0.1, 0.4)[0] for row in rows}
         assert seen == {"returned", ExprDomainError, RegularityError, ZeroDivisionError}
 
@@ -447,25 +446,29 @@ class TestGeneratedSteps:
         if ref.termination.kind != "event":
             assert ext.termination == ref.termination
 
-    def test_rk4_run_calls_accel_four_times_and_diag_once_per_step(self, monkeypatch):
+    def test_rk4_run_calls_accel_four_times_and_diag_once_per_step(self):
         calls = {"accel": 0, "diag": 0}
-        build = kernels.build
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(kernels, "build", lambda spec: kernels.Kernel(
-            *(counted(name, fn) for name, fn in zip(("accel", "diag"), build(spec)))))
         params = SleighParams()
-        traj = integrate_second_order(build_sleigh_spec("lda_linear", params),
-                                      *initial_state(params),
+        spec = build_sleigh_spec("lda_linear", params)
+        kernel = spec.kernel  # the step, built on the first run, binds the counted accel
+        kernel.accel, kernel.diag = counted("accel", kernel.accel), counted("diag", kernel.diag)
+        traj = integrate_second_order(spec, *initial_state(params),
                                       IntegratorConfig(method="rk4", dt=0.01, t_end=1.0))
         assert traj.termination.kind == "completed"
         steps = len(traj.times) - 1
         assert steps == 100
         assert calls == {"accel": 4 * steps, "diag": steps + 1}
+
+
+def _extended_row(q0, v0, pi):
+    n = len(q0)
+    return [*q0, *[0.0] * n, *v0, *[pi] * n, 1.0, 0.0]
 
 
 class TestLifetime:
@@ -482,27 +485,54 @@ class TestLifetime:
             emitted.append(spec)
             return emit(spec, body)
         monkeypatch.setattr(kernels, "_jac", counted)
-        spec = build_sleigh_spec("lda_linear", SleighParams())
-        spec.kernel
-        assert emitted == []
-        assert spec.jacobian_kernel is spec.jacobian_kernel
+        params = SleighParams()
+        spec = build_sleigh_spec("lda_linear", params)
+        q0, v0 = initial_state(params)
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=0.2)
+        integrate_second_order(spec, q0, v0, cfg)
+        integrate.integrate_hamiltonian(spec, _extended_row(q0, v0, 0.0), None, cfg)
+        assert emitted == []  # on the surface the flow takes accel, not jac
+        integrate.integrate_hamiltonian(spec, _extended_row(q0, v0, 0.01), None, cfg)
+        assert emitted == [spec]
+        assert spec.kernel.jac is spec.kernel.jac
         assert emitted == [spec]
 
     def test_parameter_variants_share_one_compile(self):
-        kernels._factory.cache_clear()
+        kernels._compile.cache_clear()
         slow = build_sleigh_spec("friction", SleighParams(k=10.0))
         fast = build_sleigh_spec("friction", SleighParams(k=20.0, m=1.5))
         slow.kernel, fast.kernel
-        assert kernels._factory.cache_info().misses == 1
-        slow.jacobian_kernel, fast.jacobian_kernel
-        assert kernels._factory.cache_info().misses == 2
+        assert kernels._compile.cache_info().misses == 1
+        slow.kernel.jac, fast.kernel.jac
+        assert kernels._compile.cache_info().misses == 2
         q, v = (0.1, 0.2, 0.3), (1.0, 0.5, 0.2)
         for spec in (slow, fast):
             assert spec.kernel.accel(q, v, 0.0) == engine.acceleration_raw(spec, q, v, 0.0)
-            assert (spec.jacobian_kernel(q, v, 0.0)
+            assert (spec.kernel.jac(q, v, 0.0)
                     == engine.acceleration_jacobian_raw(spec, q, v, 0.0))
         assert slow.kernel.accel(q, v, 0.0) != fast.kernel.accel(q, v, 0.0)
-        assert slow.jacobian_kernel(q, v, 0.0) != fast.jacobian_kernel(q, v, 0.0)
+        assert slow.kernel.jac(q, v, 0.0) != fast.kernel.jac(q, v, 0.0)
+
+    def test_parameter_variant_runs_compile_nothing(self):
+        # every generated source of a friction run binds k as an argument, so a second
+        # spec that differs only in k runs RK4, RKF45 and the extended RK4 flow (off the
+        # surface, through jac) on the first one's compiled code
+        params = SleighParams()
+        q0, v0 = initial_state(params)
+
+        def run_all(k):
+            spec = build_sleigh_spec("friction", SleighParams(k=k))
+            for method in ("rk4", "rkf45"):
+                integrate_second_order(spec, q0, v0,
+                                       IntegratorConfig(method=method, dt=0.05, t_end=0.2))
+            integrate.integrate_hamiltonian(spec, _extended_row(q0, v0, 0.01), _mu,
+                                            IntegratorConfig(method="rk4", dt=0.05, t_end=0.2))
+            assert {"jac", "rk4_step", "rkf45_step", "flow"} <= vars(spec.kernel).keys()
+
+        run_all(10.0)
+        misses = kernels._compile.cache_info().misses
+        run_all(20.0)
+        assert kernels._compile.cache_info().misses == misses
 
     def test_steps_built_on_first_run_from_a_shared_template(self):
         # the stage arithmetic depends on (n, method) alone: a fresh spec of a known n,
@@ -511,20 +541,37 @@ class TestLifetime:
         first = build_sleigh_spec("lda_linear", params)
         integrate_second_order(first, *initial_state(params),
                                IntegratorConfig(method="rk4", dt=0.1, t_end=0.1))
-        assert "rk4_step" in vars(first) and "rkf45_step" not in vars(first)
+        assert "rk4_step" in vars(first.kernel) and "rkf45_step" not in vars(first.kernel)
         misses = kernels._step_template.cache_info().misses
         second = build_sleigh_spec("friction", SleighParams(k=5.0))
-        second.kernel
-        assert "rk4_step" not in vars(second)
-        assert second.rk4_step is second.rk4_step
-        assert second.rk4_step.__code__ is first.rk4_step.__code__
+        assert "rk4_step" not in vars(second.kernel)
+        assert second.kernel.rk4_step is second.kernel.rk4_step
+        assert second.kernel.rk4_step.__code__ is first.kernel.rk4_step.__code__
         assert kernels._step_template.cache_info().misses == misses
 
+    def test_flow_built_once_and_extended_steps_share_a_template(self):
+        params = SleighParams()
+        spec = build_sleigh_spec("lda_linear", params)
+        row = _extended_row(*initial_state(params), 0.01)
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=0.2)
+        assert "flow" not in vars(spec.kernel)
+        integrate.integrate_hamiltonian(spec, row, None, cfg)
+        flow = vars(spec.kernel)["flow"]
+        misses = kernels._compile.cache_info().misses
+        integrate.integrate_hamiltonian(spec, row, _mu, cfg)
+        assert kernels._compile.cache_info().misses == misses
+        assert spec.kernel.flow is flow
+        first, second = (spec.kernel.extended_step("rk4", mu) for mu in (_mu, math.cos))
+        assert first is not second and first.__code__ is second.__code__
+
     def test_kernel_does_not_outlive_its_spec(self):
+        # the kernel holds its spec and its flow holds the kernel: cycles, so collect
         spec = build_sleigh_spec("lda_nonlinear", SleighParams())
-        refs = [weakref.ref(spec), weakref.ref(spec.kernel.accel),
-                weakref.ref(spec.jacobian_kernel), weakref.ref(spec.rk4_step),
-                weakref.ref(spec.rkf45_step)]
-        del spec
+        kernel = spec.kernel
+        step = kernel.extended_step("rk4", _mu)
+        refs = [weakref.ref(x) for x in (spec, kernel, kernel.accel, kernel.jac,
+                                         kernel.rk4_step, kernel.rkf45_step, kernel.flow,
+                                         step)]
+        del spec, kernel, step
         gc.collect()
-        assert [ref() for ref in refs] == [None] * 5
+        assert [ref() for ref in refs] == [None] * len(refs)

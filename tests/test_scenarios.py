@@ -57,6 +57,15 @@ class TestFrictionModel:
         with pytest.raises(ValueError):
             sleigh_friction_analytic(SleighParams(k=1.0), 1.0)
 
+    @pytest.mark.parametrize("m, k, omega", [(1.0, 2.0, 1.0), (1.0, 2.0, -1.0),
+                                             (1.5, 3.0, 1.0), (1.0, 0.5, -1.0)])
+    def test_analytic_needs_k_above_2_m_abs_omega(self, m, k, omega):
+        # k = 2 m |omega| gives a double rate (d2 - d1 = 0); omega < 0 turns the other way
+        with pytest.raises(ValueError, match="real decay rates"):
+            sleigh_friction_analytic(SleighParams(m=m, k=k, omega=omega), 1.0)
+        above = SleighParams(m=m, k=2.0 * m * abs(omega) * (1.0 + 1e-9), omega=omega)
+        assert all(map(math.isfinite, sleigh_friction_analytic(above, 1.0)))
+
     def test_analytic_decays_towards_limit_point(self):
         # slowest decay rate is ~omega^2/k, so evaluate deep into the tail
         p = SleighParams(k=50.0)
@@ -118,10 +127,11 @@ class TestConstrainedVariants:
         assert ge(0.0, [0] * 6 + [0.5] + [0] * 7) > 0
         assert ge(0.0, [0] * 6 + [0.0] + [9] * 7) < 0
         # signed by the initial yd1: a sign change reads negative on either side
-        (_, g2), = nonlinear_sleigh_guards(sign=-1.0)
+        (_, g2), = nonlinear_sleigh_guards(v0=(-0.5, 0.0, 1.0))
         assert g2(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > g2(0.0, [0, 0, 0, 0.5, 0, 0])
         (_, gs), = SCENARIOS["lda_nonlinear"].guards(v0=(-0.5, 0.0, 1.0))
         assert gs(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > gs(0.0, [0, 0, 0, 0.5, 0, 0])
+        assert SCENARIOS["lda_nonlinear"].guards is nonlinear_sleigh_guards
 
     def test_heading_rate_is_constant(self):
         _, traj = sleigh_run("lda_linear", dt=1e-3)
