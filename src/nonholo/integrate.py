@@ -11,7 +11,9 @@ They unroll ``_rk4_step`` and ``_rkf45_step`` below, which stay as the
 reference the tests hold them to, bit for bit (as ``engine`` is for the
 kernels).  ``_drive`` gets the step, and event bisection uses the same step.
 The second-order run calls ``diag`` once per sample: its guards and its
-record read one result per state.
+record read one result per state.  With projection on, a state that result
+puts on the surface (``max |D| <= PROJECTION_TOL``) is kept without calling
+``engine.project_initial_state``, which would return its v unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .kernels import _RKF_A, _RKF_B, _RKF_C4, _RKF_C5
 
 EVENT_TIME_TOL = 1e-10
 INITIAL_CONSTRAINT_TOL = 1e-10
+PROJECTION_TOL = 1e-12  # |D| a projected run leaves at each accepted sample
 
 
 @dataclass
@@ -281,7 +284,16 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
     if cfg.projection and m:
         def accept(t, y):
-            y = y[:n] + list(engine.project_initial_state(spec, y[:n], y[n:], t))
+            # the projection returns v as it is where max |D| <= PROJECTION_TOL, its first
+            # test, so a state on the surface keeps its diag; where diag raises, the
+            # projection and then record raise as before
+            try:
+                on_surface = max(map(abs, diagnostics(t, y)[0])) <= PROJECTION_TOL
+            except (NonholoError, ArithmeticError, ValueError):
+                on_surface = False
+            if not on_surface:
+                y = y[:n] + list(engine.project_initial_state(spec, y[:n], y[n:], t,
+                                                              tol=PROJECTION_TOL))
             record(t, y)
             return y
     else:

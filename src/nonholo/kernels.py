@@ -24,10 +24,28 @@ dropped, as ``grad_raw`` does), then for each non-``t`` partial of each
 constraint its own partials and the updates of the right-hand sides and of
 the Jacobian rows they feed, each update a fresh local in the loop order of
 ``engine.acceleration_jacobian_raw``.  Each tree becomes one statement per
-node, through the ``expr._NS`` helpers that the compiled expressions call
-(``tan`` is sin/cos with its pole guard, ``^`` is ``dual.power``, ``/`` is the
-guarded division); a subtree already computed earlier in that order is
-reused, which is exact because the helpers are pure.  Sums accumulate as flat
+node, with the float semantics of the ``dual`` function that the generic
+path calls there written out, each domain test raising the same
+``ExprDomainError`` text just before the operation it guards:
+
+* ``/`` is ``if den == 0.0: raise ...`` and a plain ``num / den`` (a nonzero
+  literal divisor needs no test);
+* ``^`` with a literal integer exponent up to 2**64 in size is
+  ``dual.ipow``'s multiply and square sequence, 1.0 for exponent 0, and for a
+  negative one both of its zero tests and ``1.0 / d``;
+* ``sin`` and ``cos`` are ``math.sin``/``math.cos`` after a test for +-inf,
+  made once per argument, as either would raise at the same argument;
+* ``tan`` is the ``cos`` node, the pole test ``|cos| < dual._POLE_TOL``, the
+  ``sin`` node and a plain division;
+* ``log`` and ``sqrt`` are their domain test and the ``math`` call, ``abs``
+  the builtin, the derivative's ``sgn`` a conditional expression;
+* ``exp`` (its overflow test is a ``try``) and every other ``^`` (real, not
+  constant, or huge) call the float-only ``_exp`` and ``_pow``.
+
+No generated function calls into ``dual``; the generic engine and the dual
+path behind the Poisson brackets keep ``expr``'s dual-aware helpers.  A value
+computed earlier in that order is reused, with its tests, which is exact
+because every operation is pure.  Sums accumulate as flat
 left-to-right chains from 0.0, absent partials entering as 0.0, so signed
 zeros, NaN and the first error raised are those of the generic path.  The
 Gram solve is unrolled too: m = 1 to ``min_eig = G``, ``h = b / G``, and m >= 2
@@ -42,8 +60,9 @@ of ``jac`` go through one ``np.linalg.solve`` for m >= 2.
 Every generated source compiles through ``_compile``, the one ``exec``, cached
 by text, into a ``make(...)`` factory over what the source binds.  For these
 three that is every finite constant -- the masses, ``eps_reg`` and the
-literals of the trees -- so systems that differ only in such numbers
-(friction k, masses, ``eps_reg``) share one ``compile()``.
+literals of the trees, save the integer exponents that are unrolled -- so
+systems that differ only in such numbers (friction k, masses, ``eps_reg``)
+share one ``compile()``.
 
 The integrators step with generated code too, in three more functions:
 
@@ -65,23 +84,83 @@ n alone, so each text is generated once per process (``_step_template``,
 fresh spec, as CLI ``verify`` builds per config, generates no step source.
 The kernel builds its two steps and ``flow`` on first use and keeps them;
 ``extended_step`` binds the run's mu_e, so it is built per run.  ``flow``
-looks ``accel`` and ``jac`` up on the kernel at each call, which keeps
-``jac`` unbuilt until the first off-surface evaluation.
+gets ``jac`` through a cached builder at each off-surface call, which keeps
+``jac`` unbuilt until the first off-surface evaluation.  The kernel keeps a
+copy of its spec's fields, not the spec, and ``flow`` holds ``accel`` and that
+builder, not the kernel, so no reference cycle keeps a spec's code alive.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+import math
+from dataclasses import replace
+from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import engine
+from .dual import _POLE_TOL
 from .errors import ExprDomainError, RegularityError
-from .expr import _EMIT_FN, _NS, Const, Unary, Var, partial_exprs
+from .expr import Const, Unary, Var, partial_exprs
 
 _REGULARITY = ('raise RegularityError(f"constraint Gram matrix smallest eigenvalue '
                '{min_eig:.3e} below floor {eps:.3e}")')
+_UNROLL_BITS = 64  # a constant integer power up to 2**64 - 1 is unrolled, a larger one is not
+
+
+def _literal(node):
+    """The float value of a literal or of a negated literal, else None."""
+    if isinstance(node, Unary) and node.op == "neg":
+        value = _literal(node.arg)
+        return None if value is None else -value
+    return float(node.value) if isinstance(node, Const) else None
+
+
+def _raise(message: str) -> str:
+    """The indented line under a generated test that raises ExprDomainError(message)."""
+    return f'    raise ExprDomainError("{message}")'
+
+
+# Float-only helpers for what the kernels do not inline: exp, whose overflow test is a
+# try, and a real, non-constant or huge ``^``.  Each is ``dual``'s function on floats.
+
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ExprDomainError("exp overflows the float range") from None
+
+
+def _ipow(x, n: int):
+    """``dual.ipow``: x**n for integer n by squaring."""
+    if n == 0:
+        return 1.0
+    if n < 0:
+        if x == 0.0:
+            raise ExprDomainError("zero raised to a negative power")
+        d = _ipow(x, -n)
+        if d == 0.0:
+            raise ExprDomainError("negative power overflows: the positive power underflows to zero")
+        return 1.0 / d
+    result = base = x
+    n -= 1
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _pow(x, y):
+    """``dual.power``: an integer-valued y through ``_ipow`` for any base, else exp(y log x)."""
+    if float(y).is_integer():
+        return _ipow(x, int(y))
+    if x <= 0.0:
+        raise ExprDomainError("non-integer power of a non-positive base")
+    return _exp(y * math.log(x))
 
 
 class _Constants:
@@ -109,6 +188,8 @@ class _Body:
         self.constants = constants
         self.lines = []
         self._names = {}  # source of a computed value -> its local
+        self._count = 0  # locals x0.. assigned so far
+        self._finite = set()  # the names that sin or cos has tested for +-inf
 
     def node(self, node) -> str:
         """Name or literal holding the node's value, computed in evaluation order."""
@@ -117,25 +198,93 @@ class _Body:
         if isinstance(node, Var):
             return "t" if node.kind == "t" else f"{node.kind}{node.index - 1}"
         if isinstance(node, Unary):
-            arg = self.node(node.arg)
-            source = f"(-{arg})" if node.op == "neg" else f"{_EMIT_FN[node.op]}({arg})"
-        else:
-            lhs, rhs = self.node(node.lhs), self.node(node.rhs)
-            if node.op == "/":
-                source = f"_div({lhs}, {rhs})"
-            elif node.op == "^":
-                source = f"_pow({lhs}, {rhs})"
-            else:
-                source = f"({lhs} {node.op} {rhs})"
-        return self.bind(source)
+            return self.unary(node.op, self.node(node.arg))
+        literal = _literal(node.rhs)
+        if (node.op == "^" and literal is not None and literal.is_integer()
+                and abs(int(literal)).bit_length() <= _UNROLL_BITS):
+            return self.ipow(self.node(node.lhs), int(literal))
+        lhs, rhs = self.node(node.lhs), self.node(node.rhs)
+        if node.op == "/":
+            # a nonzero literal divisor needs no test
+            guard = [] if literal else [f"if {rhs} == 0.0:", _raise("division by zero")]
+            return self.bind(f"({lhs} / {rhs})", guard)
+        if node.op == "^":
+            return self.bind(f"_pow({lhs}, {rhs})")
+        return self.bind(f"({lhs} {node.op} {rhs})")
 
-    def bind(self, source: str) -> str:
-        """A local holding the value of source; every local is assigned once, so equal
-        source means equal value."""
-        name = self._names.get(source)
+    def unary(self, op: str, x: str) -> str:
+        """The float semantics of ``dual``'s function op at the local x."""
+        if op == "neg":
+            return self.bind(f"(-{x})")
+        if op == "abs":
+            return self.bind(f"abs({x})")
+        if op == "sgn":  # NaN is negative, -0.0 is not
+            return self.bind(f"(1.0 if {x} >= 0.0 else -1.0)")
+        if op in ("sin", "cos"):
+            # math.sin and cos raise ValueError at +-inf only, so one test of x serves both
+            guard = []
+            if x not in self._finite:
+                self._finite.add(x)
+                guard = [f"if {x} in (1e999, -1e999):", _raise(f"{op} of an infinite value")]
+            return self.bind(f"_{op}({x})", guard)
+        if op == "tan":
+            return self.once(f"tan({x})", lambda: self._tan(x))
+        if op == "log":
+            return self.bind(f"_log({x})", [f"if {x} <= 0.0:", _raise("log of non-positive value")])
+        if op == "sqrt":
+            return self.bind(f"_sqrt({x})", [f"if {x} < 0.0:", _raise("sqrt of negative value")])
+        if op == "exp":  # its overflow test is the try in _exp
+            return self.bind(f"_exp({x})")
+        raise AssertionError(f"unknown unary {op!r}")
+
+    def _tan(self, x: str) -> str:
+        """``dual.tan``: cos, the pole test on it, then sin over cos, which cannot divide
+        by zero."""
+        c = self.unary("cos", x)
+        self.lines += [f"if abs({c}) < {_POLE_TOL!r}:", _raise("tan evaluated at a pole")]
+        return self.bind(f"({self.unary('sin', x)} / {c})")
+
+    def ipow(self, x: str, n: int) -> str:
+        """``dual.ipow(x, n)`` on floats for a constant n: its multiplies and squarings,
+        and for n < 0 both of its zero tests and the reciprocal."""
+        if n == 0:
+            return "1.0"
+        return self.once(f"ipow({x}, {n})", lambda: self._ipow(x, n))
+
+    def _ipow(self, x: str, n: int) -> str:
+        if n < 0:
+            self.lines += [f"if {x} == 0.0:", _raise("zero raised to a negative power")]
+            d = self.ipow(x, -n)
+            self.lines += [f"if {d} == 0.0:", _raise("negative power overflows: the positive "
+                                                     "power underflows to zero")]
+            return self.bind(f"(1.0 / {d})")
+        result = base = x
+        n -= 1
+        while n:
+            if n & 1:
+                result = self.bind(f"({result} * {base})")
+            n >>= 1
+            if n:
+                base = self.bind(f"({base} * {base})")
+        return result
+
+    def bind(self, source: str, guard=()) -> str:
+        """A local holding the value of source, after the lines of its guard; every local
+        is assigned once, so equal source means equal value, and a value computed again
+        needs no second guard."""
+        return self.once(source, lambda: self._assign(source, guard))
+
+    def once(self, key: str, emit: Callable[[], str]) -> str:
+        """The name emit() computes key's value in, emitting it on key's first use only."""
+        name = self._names.get(key)
         if name is None:
-            name = self._names[source] = f"x{len(self._names)}"
-            self.lines.append(f"{name} = {source}")
+            name = self._names[key] = emit()
+        return name
+
+    def _assign(self, source: str, guard) -> str:
+        name = f"x{self._count}"
+        self._count += 1
+        self.lines += [*guard, f"{name} = {source}"]
         return name
 
     def grad(self, expr, n: int) -> tuple[list, list, str]:
@@ -362,12 +511,15 @@ def _source(spec, emitters: dict) -> tuple[str, list]:
 
 @lru_cache(maxsize=128)
 def _compile(text: str) -> Callable:
-    """The compiled ``make`` of a generated source: the one ``exec``, over the ``expr``
-    helpers, the error types and the solver helpers, with no builtins.  The namespace is
-    read here, so a patched ``engine._gram_min_eig`` reaches only later compiles."""
-    namespace = dict(_NS, RegularityError=RegularityError, ExprDomainError=ExprDomainError,
-                     abs=abs, max=max, _gram_min_eig=engine._gram_min_eig,
-                     _lu_solve=np.linalg.solve, _array=np.array)
+    """The compiled ``make`` of a generated source: the one ``exec``, over ``math``'s
+    functions, the float-only helpers, the error types and the solver helpers, with no
+    builtins.  The namespace is read here, so a patched ``engine._gram_min_eig`` reaches
+    only later compiles."""
+    namespace = dict(_sin=math.sin, _cos=math.cos, _log=math.log, _sqrt=math.sqrt,
+                     _exp=_exp, _pow=_pow, abs=abs, max=max,
+                     RegularityError=RegularityError, ExprDomainError=ExprDomainError,
+                     _gram_min_eig=engine._gram_min_eig, _lu_solve=np.linalg.solve,
+                     _array=np.array, __builtins__={})
     exec(compile(text, "<kernel>", "exec"), namespace)
     return namespace["make"]
 
@@ -475,10 +627,10 @@ def _step_template(n: int, method: str, extended: bool) -> str:
 
 @lru_cache(maxsize=64)
 def _flow_template(n: int) -> str:
-    """Source of the ``make(kernel)`` of the extended flow of n coordinates: bit for bit
-    ``hamiltonian.hamiltonian_vector_field``, with the contractions
-    sum_j pi_j dF_j/dx_i unrolled and ``accel`` and ``jac`` looked up on the kernel at
-    each call, so ``jac`` is built on the first off-surface evaluation, as there."""
+    """Source of the ``make(accel, get_jac)`` of the extended flow of n coordinates: bit for
+    bit ``hamiltonian.hamiltonian_vector_field``, with the contractions
+    sum_j pi_j dF_j/dx_i unrolled.  ``get_jac()`` returns the kernel's ``jac``, built on its
+    first call, so it is built on the first off-surface evaluation, as there."""
     q, p, v, r = ([f"{k}{i}" for i in range(n)] for k in ("q", "p", "v", "r"))
     f = [f"f{i}" for i in range(n)]
     vd = [f"{r[i]} / e + {f[i]}" for i in range(n)]
@@ -497,30 +649,35 @@ def _flow_template(n: int) -> str:
             "if e == 0.0:",
             '    raise ExprDomainError("auxiliary variable e is zero")',
             f"if {' and '.join([f'{x} == 0.0' for x in r] or ['True'])}:",
-            f"    [{', '.join(f)}] = kernel.accel({_tuple(q)}, {_tuple(v)}, t)",
+            f"    [{', '.join(f)}] = accel({_tuple(q)}, {_tuple(v)}, t)",
             "    " + out(["0.0"] * n, [f"-{x}" for x in p]),
             f"[{', '.join(f)}], [{rows('dq')}], [{rows('dv')}] = "
-            f"kernel.jac({_tuple(q)}, {_tuple(v)}, t)",
+            f"get_jac()({_tuple(q)}, {_tuple(v)}, t)",
             out([f"-{contraction('dq', i)}" for i in range(n)],
                 [f"-{p[i]} - {contraction('dv', i)}" for i in range(n)])]
-    return _text(["kernel"], {"flow(y, mu_e, t)": body})
+    return _text(["accel", "get_jac"], {"flow(y, mu_e, t)": body})
 
 
 class Kernel:
-    """The generated code of one system, kept on its spec (``SystemSpec.kernel``), so it
-    lives exactly as long as the spec does.  ``accel`` and ``diag`` are built with it;
-    ``jac``, ``rk4_step``, ``rkf45_step`` and ``flow`` on first use, and kept;
-    ``extended_step`` per run, because it binds the run's mu_e."""
+    """The generated code of one system, kept on its spec (``SystemSpec.kernel``).
+    ``accel`` and ``diag`` are built with it; ``jac``, ``rk4_step``, ``rkf45_step`` and
+    ``flow`` on first use, and kept; ``extended_step`` per run, because it binds the run's
+    mu_e.  Nothing here refers back to the spec or to the kernel, so reference counting
+    frees them with the spec."""
 
     def __init__(self, spec):
-        self.spec = spec
-        self.accel, self.diag = self._kernels({"accel": _accel, "diag": _diag})
+        self._n = spec.n
+        # a field-for-field copy: holding the spec would close a cycle with spec.kernel
+        spec = replace(spec)
+        self.accel, self.diag = _build(spec, {"accel": _accel, "diag": _diag})
+        # the flow reaches jac through this, which holds the copy but not the kernel
+        self._get_jac = cache(lambda: _build(spec, {"jac": _jac})[0])
 
     @cached_property
     def jac(self) -> Callable:
-        """``jac(q, v, t) -> (F, dfdq, dfdv)``; only off-surface flows call it."""
-        (jac,) = self._kernels({"jac": _jac})
-        return jac
+        """``jac(q, v, t) -> (F, dfdq, dfdv)``, built on its first use here or in ``flow``;
+        only off-surface flows call it."""
+        return self._get_jac()
 
     @cached_property
     def rk4_step(self) -> Callable:
@@ -536,17 +693,18 @@ class Kernel:
     def flow(self) -> Callable:
         """``flow(y, mu_e, t)`` of the extended row, bit for bit
         ``hamiltonian_vector_field``."""
-        (flow,) = _compile(_flow_template(self.spec.n))(self)
+        (flow,) = _compile(_flow_template(self._n))(self.accel, self._get_jac)
         return flow
 
     def extended_step(self, method: str, mu: Callable) -> Callable:
         """``step(t, y, dt)`` of the extended flow with mu_e = mu(t)."""
         return self._step(method, True, self.flow, mu)
 
-    def _kernels(self, emitters: dict) -> tuple:
-        text, values = _source(self.spec, emitters)
-        return _compile(text)(*values)
-
     def _step(self, method: str, extended: bool, *args) -> Callable:
-        (step,) = _compile(_step_template(self.spec.n, method, extended))(*args)
+        (step,) = _compile(_step_template(self._n, method, extended))(*args)
         return step
+
+
+def _build(spec, emitters: dict) -> tuple:
+    text, values = _source(spec, emitters)
+    return _compile(text)(*values)

@@ -10,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sleigh_run, wheel_state, wheel_system
+from nonholo import engine
 from nonholo.engine import make_system
 from nonholo.errors import InitialStateError
 from nonholo.hamiltonian import ExtendedPhasePoint, hamiltonian_value
 from nonholo.integrate import (
+    PROJECTION_TOL,
     IntegratorConfig,
     integrate_hamiltonian,
     integrate_second_order,
 )
+from nonholo.scenarios import SleighParams, build_sleigh_spec, initial_state
 
 
 def oscillator():
@@ -100,6 +103,31 @@ class TestSecondOrder:
         _, traj = sleigh_run(dt=0.05, t_end=2 * math.pi, projection=True)
         assert traj.termination.kind == "completed"
         assert np.max(np.abs(traj.constraint_values)) <= 1e-11
+
+    @pytest.mark.parametrize("dt", [0.002, 0.05])
+    def test_projection_reuses_the_guards_diag(self, monkeypatch, dt):
+        # a state on the surface keeps the diag its guards ran (N + 1 calls, no
+        # projection); each state off it is projected and its new row gets its own diag
+        projections = []
+        project = engine.project_initial_state
+
+        def counted_project(*args, **kwargs):
+            projections.append(args)
+            return project(*args, **kwargs)
+        monkeypatch.setattr(engine, "project_initial_state", counted_project)
+        diags = []
+        params = SleighParams()
+        spec = build_sleigh_spec("lda_linear", params)
+        diag = spec.kernel.diag
+        spec.kernel.diag = lambda *args: diags.append(args) or diag(*args)
+        traj = integrate_second_order(spec, *initial_state(params),
+                                      IntegratorConfig(method="rk4", dt=dt, t_end=0.5,
+                                                       projection=True))
+        assert traj.termination.kind == "completed"
+        assert len(traj.times) == round(0.5 / dt) + 1
+        assert (len(projections) == 0) == (dt == 0.002)
+        assert len(diags) == len(traj.times) + len(projections)
+        assert np.max(np.abs(traj.constraint_values)) <= PROJECTION_TOL
 
     def test_user_guard_bisected_to_tolerance(self):
         # free fall from rest under a = -1: q(t) = 1 - t^2/2 crosses 0.5 at t = 1

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WHEEL_CONSTRAINTS, potential_t_system, wheel_state, wheel_system
-from nonholo import (IntegratorConfig, engine, hamiltonian, integrate, integrate_second_order,
-                     kernels)
+from nonholo import (IntegratorConfig, dual, engine, hamiltonian, integrate,
+                     integrate_second_order, kernels)
 from nonholo.engine import ConstraintSet, SystemSpec
 from nonholo.errors import ExprDomainError, NonholoError, RegularityError
-from nonholo.expr import Binary, Expr, Unary, Var, partial_exprs
+from nonholo.expr import Binary, Const, Expr, Unary, Var, parse_expression, partial_exprs
 from nonholo.scenarios import SleighParams, build_sleigh_spec, initial_state
 from test_expr import _trees
 
@@ -161,6 +161,92 @@ class TestMatchesGeneric:
                 jacobian(q, v, 0.0)
 
 
+_INF, _NAN = math.inf, math.nan
+_POLE = math.pi / 2
+# q1 on both sides of tan's pole test |cos(q1)| < 1e-12, on both sides of the pole
+_NEAR_POLE = [_POLE + side * (1e-12 + k * 2e-17) for side in (-1.0, 1.0) for k in range(-4, 5)]
+
+
+def _power(exponent):
+    return Binary("^", Var("q", 1), Const(exponent))
+
+
+# (tree of q1 and q2, the (q1, q2) states, the messages some state must raise)
+_OPERATOR_CASES = {
+    "sin": ("sin(q1)", [(_INF, 0.3), (-_INF, 0.3), (_NAN, 0.3), (-0.0, 0.3), (1e300, 0.3)],
+            {"sin of an infinite value"}),
+    "cos": ("cos(q1)", [(_INF, 0.3), (-_INF, 0.3), (_NAN, 0.3), (-0.0, 0.3), (1e300, 0.3)],
+            {"cos of an infinite value"}),
+    "sin and cos of two arguments": ("sin(q1)*cos(q2)", [(0.3, _INF), (_INF, 0.3), (_NAN, -_INF)],
+                                     {"sin of an infinite value", "cos of an infinite value"}),
+    "tan": ("tan(q1)", [(x, 0.3) for x in [_POLE, -_POLE, _INF, _NAN, -0.0, *_NEAR_POLE]],
+            {"tan evaluated at a pole", "cos of an infinite value"}),
+    "division": ("q2/q1", [(x, y) for x in (0.0, -0.0, _NAN, _INF, 1e-200, 1e-310)
+                           for y in (0.3, _NAN, 0.0)], {"division by zero"}),
+    "log": ("log(q1)", [(x, 0.3) for x in (0.0, -0.0, -1.0, _NAN, _INF, 5e-324, 2.0)],
+            {"log of non-positive value"}),
+    "sqrt": ("sqrt(q1)", [(x, 0.3) for x in (0.0, -0.0, -1.0, _NAN, _INF, 5e-324, 2.0)],
+             {"sqrt of negative value", "division by zero"}),
+    "exp": ("exp(q1)", [(x, 0.3) for x in (709.0, 709.78, 709.79, 710.0, 1e300, _INF, -_INF,
+                                           _NAN)],
+            {"exp overflows the float range"}),
+    "abs and sgn": ("abs(q1)*q2", [(x, 0.3) for x in (-0.0, 0.0, _NAN, -_INF, -2.0)], set()),
+    "real power": ("q1^0.5 + q1^2.5", [(x, 0.3) for x in (0.0, -0.0, -1.0, 4.0, _NAN, _INF,
+                                                          1e-300)],
+                   {"non-integer power of a non-positive base", "exp overflows the float range"}),
+    "non-constant power": ("q1^q2", [(2.0, 3.0), (-2.0, 3.0), (-2.0, -3.0), (-2.0, 0.5), (0.0, 0.0),
+                                     (0.0, -1.0), (0.0, 0.5), (2.0, _NAN), (2.0, _INF),
+                                     (1e-200, -2.0), (1.5, 1e20)],
+                           {"non-integer power of a non-positive base",
+                            "zero raised to a negative power",
+                            "negative power overflows: the positive power underflows to zero"}),
+    "negated literal power": ("q1^-3 + q1^-(2)", [(x, 0.3) for x in (0.0, -0.0, 1e-200, -2.0)],
+                              {"zero raised to a negative power",
+                               "negative power overflows: the positive power underflows to "
+                               "zero"}),
+}
+_BASES = (0.0, -0.0, 1.5, -1.5, 1e-200, 1e200, _NAN, _INF, -_INF, 1.0000001, -1.0)
+for _exponent in (0, -0.0, 1, -1, 2, -2, 3, -3, 2 ** 40, -2 ** 40, 2 ** 70, 1e300):
+    _OPERATOR_CASES[f"^{_exponent!r}"] = (
+        _power(float(_exponent)), [(x, 0.3) for x in _BASES],
+        {"zero raised to a negative power",
+         "negative power overflows: the positive power underflows to zero"}
+        if _exponent < 0 else set())
+
+
+class TestFloatOperators:
+    """Each operator the kernels emit inline or through a float-only helper, at its edge
+    and error states: the generic path's floats and errors."""
+
+    @pytest.mark.parametrize("case", list(_OPERATOR_CASES))
+    def test_edges_and_errors(self, case):
+        tree, values, raised = _OPERATOR_CASES[case]
+        # the tree as a force and inside a constraint, whose partials enter every function
+        node = tree if isinstance(tree, Binary) else parse_expression(tree, 2).root
+        spec = SystemSpec(2, (1.0, 1.5), (Expr(node, 2), Expr(Const(0.0), 2)),
+                          ConstraintSet((Expr(Binary("-", Var("v", 2), node), 2),)))
+        states = [((x, y), (0.5, 0.2), 0.0) for x, y in values]
+        _assert_kernel_matches(spec, states)
+        seen = {str(exc) for kind, exc in (_outcome(fn, *state) for state in states
+                                           for fn in (spec.kernel.accel, spec.kernel.jac))
+                if kind is ExprDomainError}
+        assert raised <= seen
+
+    def test_tan_states_straddle_the_pole_test(self):
+        for side in (-1.0, 1.0):
+            cosines = [abs(math.cos(x)) for x in _NEAR_POLE if (x - _POLE) * side > 0]
+            assert min(cosines) < 1e-12 <= max(cosines)
+
+    def test_no_dual_function_in_the_namespace(self):
+        spec = build_sleigh_spec("lda_nonlinear", SleighParams())
+        kernel = spec.kernel
+        for fn in (kernel.accel, kernel.diag, kernel.jac, kernel.rk4_step, kernel.rkf45_step,
+                   kernel.flow, kernel.extended_step("rk4", _mu)):
+            assert fn.__globals__.keys() >= {"_sin", "_cos", "_exp", "_pow"}
+            for value in fn.__globals__.values():
+                assert getattr(value, "__module__", None) != dual.__name__
+
+
 def _m3_system(eps_reg):
     """n = 4, a constraint nonlinear in v ahead of the two wheel constraints.  At q3 = 0
     the Gram matrix is [[v1^2 + v2^2 + q4^2, -v2, -v1], [-v2, 1, 0], [-v1, 0, 2]], so the
@@ -223,7 +309,8 @@ class TestGramSolve:
                     _m3_state(0.2, -0.3, 1e75, 0.4),  # g00 near 1e150: LAPACK rescales
                     _m3_state(1e-76, 1e-76, 1e-76, 0.4),
                     _m3_state(0.0, 0.0, math.inf), _m3_state(0.0, 0.0, 0.0, math.nan),
-                    _m3_state(math.nan, 0.1, 0.1), _m3_state(0.1, -math.inf, 0.1)],
+                    _m3_state(math.nan, 0.1, 0.1), _m3_state(0.1, -math.inf, 0.1),
+                    _m3_state(0.1, 0.1, 0.1, math.inf)],  # sin(q3) raises
             # an exactly singular matrix whose computed eigenvalues clear the floor: the
             # zero pivot of the second column raises
             5e-324: [_m3_state(0.0, 3.0, 0.0)],
@@ -527,7 +614,8 @@ class TestLifetime:
                                        IntegratorConfig(method=method, dt=0.05, t_end=0.2))
             integrate.integrate_hamiltonian(spec, _extended_row(q0, v0, 0.01), _mu,
                                             IntegratorConfig(method="rk4", dt=0.05, t_end=0.2))
-            assert {"jac", "rk4_step", "rkf45_step", "flow"} <= vars(spec.kernel).keys()
+            assert {"rk4_step", "rkf45_step", "flow"} <= vars(spec.kernel).keys()
+            assert spec.kernel._get_jac.cache_info().currsize == 1  # the flow built jac
 
         run_all(10.0)
         misses = kernels._compile.cache_info().misses
@@ -565,13 +653,19 @@ class TestLifetime:
         assert first is not second and first.__code__ is second.__code__
 
     def test_kernel_does_not_outlive_its_spec(self):
-        # the kernel holds its spec and its flow holds the kernel: cycles, so collect
+        # no cycle: reference counting alone frees the spec and its generated code
         spec = build_sleigh_spec("lda_nonlinear", SleighParams())
         kernel = spec.kernel
         step = kernel.extended_step("rk4", _mu)
+        params = SleighParams()
+        integrate.integrate_hamiltonian(spec, _extended_row(*initial_state(params), 0.01),
+                                        _mu, IntegratorConfig(method="rk4", dt=0.1, t_end=0.2))
         refs = [weakref.ref(x) for x in (spec, kernel, kernel.accel, kernel.jac,
                                          kernel.rk4_step, kernel.rkf45_step, kernel.flow,
                                          step)]
-        del spec, kernel, step
-        gc.collect()
-        assert [ref() for ref in refs] == [None] * len(refs)
+        gc.disable()
+        try:
+            del spec, kernel, step
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
