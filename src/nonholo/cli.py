@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -436,7 +437,10 @@ def cmd_list_scenarios(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: ``parse_args`` keeps no
+    state in it, so each ``main`` call, in-process callers' included, shares it."""
     parser = argparse.ArgumentParser(
         prog="nonholo",
         description="Constrained-dynamics runs and verification suites.")

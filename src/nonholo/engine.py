@@ -21,9 +21,10 @@ seeds q and v with them, one level deep.
 The float F of a run, and its Jacobians, do not come from here.
 ``SystemSpec.kernel`` (module ``kernels``) holds the system's generated code,
 built on first use: straight-line ``accel(q, v, t)``, ``diag(q, v, t) -> (D,
-h, min_eig)`` and, on the first off-surface call, ``jac(q, v, t) -> (F, dfdq,
+h, min_eig, F)`` and, on the first off-surface call, ``jac(q, v, t) -> (F, dfdq,
 dfdv)``.  They must equal ``acceleration_raw``, ``constraint_values`` plus
-``multipliers_raw`` and ``acceleration_jacobian_raw`` bit for bit, errors
+``multipliers_raw`` (an eigenvalue ``diag`` defers filled in by
+``_gram_min_eigs``) and ``acceleration_jacobian_raw`` bit for bit, errors
 included (``tests/test_kernels.py``).  The integrator (through the kernel's
 generated steps and flow), the Hamiltonian flow and the action functionals
 call them; the functions here stay the dual-capable reference, and serve the
@@ -33,8 +34,9 @@ The reference takes no shortcut: every m >= 1 goes through one Gram fill,
 ``_gram_min_eig`` and ``_solve_linear``, and every F through
 ``_total_acceleration``.  The kernels unroll the solve, to the same floats: m = 1
 to one division, m >= 2 to ``_solve_linear``'s elimination as straight-line code.
-They compute the smallest eigenvalue only where it is recorded (``diag``) or
-where a Gershgorin certificate that it clears the floor fails.
+They compute the smallest eigenvalue only where a Gershgorin certificate that it
+clears the floor fails; where ``diag``'s holds, a run computes it when it ends, for
+all such samples in one stacked call.
 """
 
 from __future__ import annotations
@@ -153,6 +155,12 @@ def _solve_linear(a, b):
 def _gram_min_eig(gram) -> float:
     mat = np.array([[value(x) for x in row] for row in gram], dtype=float)
     return float(np.linalg.eigvalsh(mat).min())
+
+
+def _gram_min_eigs(grams) -> np.ndarray:
+    """``_gram_min_eig`` of each float matrix of a stack of one size, in one ``eigvalsh``
+    call, which runs LAPACK on each matrix as the single call does: the same floats."""
+    return np.linalg.eigvalsh(np.array(grams, dtype=float)).min(axis=1)
 
 
 def _constraint_solve(spec: SystemSpec, q, v, t, f0):

@@ -11,9 +11,15 @@ They unroll ``_rk4_step`` and ``_rkf45_step`` below, which stay as the
 reference the tests hold them to, bit for bit (as ``engine`` is for the
 kernels).  ``_drive`` gets the step, and event bisection uses the same step.
 The second-order run calls ``diag`` once per sample: its guards and its
-record read one result per state.  With projection on, a state that result
-puts on the surface (``max |D| <= PROJECTION_TOL``) is kept without calling
-``engine.project_initial_state``, which would return its v unchanged.
+record read one result per state, and so does the RK4 step that starts
+there, whose first stage is ``diag``'s F (a run with m = 0 has no ``diag``
+and hands the step ``accel`` there).  With projection on, a state that
+result puts on the surface (``max |D| <= PROJECTION_TOL``) is kept without
+calling ``engine.project_initial_state``, which would return its v
+unchanged.  Where ``diag`` certified the smallest Gram eigenvalue above the
+guard floor, it returns the Gram matrix instead, which the Gram guard reads
+as a positive margin; when the run ends, whatever its termination, the
+eigenvalues of all such samples are filled in by one stacked call.
 """
 
 from __future__ import annotations
@@ -262,12 +268,13 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
                 f"initial constraint violation {max(abs(x) for x in d0):.3e}"
             )
 
-    diag = spec.kernel.diag
-    step = spec.kernel.rk4_step if cfg.method == "rk4" else spec.kernel.rkf45_step
-    times, rows, diags = [], [], []
-    # the state diag last ran on, and its (D, h, min_eig): the driver hands each
+    kernel = spec.kernel
+    diag = kernel.diag
+    times, rows, ds, hs, eigs = [], [], [], [], []
+    # the state diag last ran on, and its (D, h, min_eig, F): the driver hands each
     # state to the guards and to accept at one time only, so diag runs once per sample
     last_y = last_d = None
+    f_recorded = None  # F at the last recorded sample
 
     def diagnostics(t, y):
         nonlocal last_y, last_d
@@ -277,10 +284,14 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
         return last_d
 
     def record(t, y):
+        nonlocal f_recorded
         times.append(t)
         rows.append(y)
         if m:
-            diags.append(diagnostics(t, y))
+            d, h, min_eig, f_recorded = diagnostics(t, y)
+            ds.append(d)
+            hs.append(h)
+            eigs.append(min_eig)
 
     if cfg.projection and m:
         def accept(t, y):
@@ -299,6 +310,21 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
     else:
         accept = record
 
+    if cfg.method == "rkf45":
+        step = kernel.rkf45_step
+    elif m:
+        rk4 = kernel.rk4_step
+
+        def step(t, y, dt):
+            # every step, bisection's included, starts on the last recorded sample:
+            # its first stage is that sample's F
+            return rk4(t, y, dt, f_recorded)
+    else:
+        rk4, accel = kernel.rk4_step, kernel.accel
+
+        def step(t, y, dt):
+            return rk4(t, y, dt, accel(y[:n], y[n:], t))
+
     y0 = q0 + v0
     record(t0, y0)
 
@@ -308,9 +334,11 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
         def gram_margin(t, y):
             try:
-                return diagnostics(t, y)[2] - floor
+                min_eig = diagnostics(t, y)[2]
             except RegularityError:
                 return -1.0
+            # a Gram matrix in its place certifies min_eig > floor
+            return 1.0 if min_eig.__class__ is list else min_eig - floor
 
         run_guards.append(("gram_eigenvalue_floor", gram_margin))
         if not cfg.projection:
@@ -321,14 +349,18 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
     termination = _drive(step, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)
-    ds, hs, eigs = zip(*diags) if m else ((), (), [math.inf] * len(times))
+    # only m >= 2 certifies: the certified samples' eigenvalues, in one call
+    deferred = [i for i, x in enumerate(eigs) if x.__class__ is list] if m > 1 else []
+    if deferred:
+        for i, x in zip(deferred, engine._gram_min_eigs([eigs[i] for i in deferred])):
+            eigs[i] = x
     return Trajectory(
         times=np.array(times),
         q=arr[:, :n],
         v=arr[:, n:],
         constraint_values=np.array(ds) if m else np.zeros((len(times), 0)),
         multipliers=np.array(hs) if m else np.zeros((len(times), 0)),
-        gram_min_eig=np.array(eigs),
+        gram_min_eig=np.array(eigs) if m else np.full(len(times), math.inf),
         termination=termination,
     )
 

@@ -3,8 +3,8 @@
 Three generated functions serve every float caller of F and of its Jacobians:
 
 * ``accel(q, v, t)``, bit for bit ``engine.acceleration_raw``;
-* ``diag(q, v, t) -> (D, h, min_eig)``, bit for bit ``engine.constraint_values``
-  followed by ``engine.multipliers_raw``;
+* ``diag(q, v, t) -> (D, h, min_eig, F)``, bit for bit ``engine.constraint_values``
+  followed by ``engine.multipliers_raw``, and F bit for bit ``accel``;
 * ``jac(q, v, t) -> (F, dfdq, dfdv)``, bit for bit ``engine.acceleration_jacobian_raw``.
 
 ``SystemSpec.kernel`` is the one holder of a system's generated code, a
@@ -52,10 +52,16 @@ Gram solve is unrolled too: m = 1 to ``min_eig = G``, ``h = b / G``, and m >= 2
 to the Gaussian elimination of ``engine._solve_linear``, pivot search and row
 swaps included (``_eliminate``), the same floats as the generic path, which has
 no such shortcut.  For m >= 2 the smallest eigenvalue (``engine._gram_min_eig``)
-is computed only where it is recorded, in ``diag``, or where a Gershgorin
-certificate that it clears the floor fails (``_certified``), so ``accel`` and
-``jac`` raise exactly where the generic check does.  The 2n Jacobian directions
-of ``jac`` go through one ``np.linalg.solve`` for m >= 2.
+is computed only where a Gershgorin certificate that it clears the floor fails
+(``_certified``): the floor eps_reg in ``accel`` and ``jac``, so they raise
+exactly where the generic check does, and the run's guard floor 10 eps_reg in
+``diag``.  Where ``diag``'s certificate holds, neither the regularity error nor
+the run's Gram guard can fire, and ``diag`` returns the Gram matrix in place of
+min_eig; the run fills in the eigenvalues of all such samples when it ends, in
+one stacked call (``engine._gram_min_eigs``), the same floats.  Any NaN or inf
+fails the certificate, so errors stay where they were.  ``diag`` returns F, the
+sum the prefix ends in, too: an RK4 step takes it as its first stage.  The 2n
+Jacobian directions of ``jac`` go through one ``np.linalg.solve`` for m >= 2.
 
 Every generated source compiles through ``_compile``, the one ``exec``, cached
 by text, into a ``make(...)`` factory over what the source binds.  For these
@@ -66,9 +72,13 @@ share one ``compile()``.
 
 The integrators step with generated code too, in three more functions:
 
-* ``step(t, y, dt)`` of RK4 and of RKF45 (which returns ``(y5, err)``) for the
-  flow [q, v]: bit for bit ``integrate._rk4_step`` and ``_rkf45_step`` on
-  ``y[n:] + accel(y[:n], y[n:], t)``, errors included;
+* ``step(t, y, dt, a1)`` of RK4 and ``step(t, y, dt)`` of RKF45 (which returns
+  ``(y5, err)``) for the flow [q, v]: bit for bit ``integrate._rk4_step`` and
+  ``_rkf45_step`` on ``y[n:] + accel(y[:n], y[n:], t)``, errors included.  The
+  RK4 step takes its first stage's F, at t itself, as a1 = accel(y[:n], y[n:], t),
+  which a run with constraints reads off the ``diag`` it made at that sample;
+  RKF45 evaluates its first stage at t + 0.0 * dt, which is not t where t = -0.0,
+  so it calls ``accel`` for all six;
 * ``flow(y, mu_e, t)`` on the flat row [q, p, v, pi, e, pi_e]: bit for bit
   ``hamiltonian.hamiltonian_vector_field``, its e == 0 error, its pi = 0
   branch (``accel``) and its contractions sum_j pi_j dF_j/dx_i over what
@@ -323,21 +333,21 @@ def _g(a: int, b: int) -> str:
     return f"g{min(a, b)}_{max(a, b)}"
 
 
-def _certified(m: int) -> list[str]:
-    """Source of a test that, where it holds, the generic ``_gram_min_eig(gram) < eps``
+def _certified(m: int, floor: str) -> list[str]:
+    """Source of a test that, where it holds, the generic ``_gram_min_eig(gram) <= floor``
     is false: a Gershgorin bound with margin, on every row
 
-        g_aa - sum_{b != a} |g_ab| > eps + 1e-12 sum_{a,b} |g_ab|.
+        g_aa - sum_{b != a} |g_ab| > floor + 1e-12 sum_{a,b} |g_ab|.
 
     LAPACK's symmetric eigenvalues are backward stable, |computed - exact| <=
     p(m) u ||G||_2 (Demmel, Applied Numerical Linear Algebra, 5.2), and the margin
-    exceeds 4000 u ||G||_2, so where this holds the computed eigenvalue clears eps
-    too.  Any NaN or inf entry fails it: the bound is then NaN or inf, and the
+    exceeds 4000 u ||G||_2, so where this holds the computed eigenvalue clears the
+    floor too.  Any NaN or inf entry fails it: the bound is then NaN or inf, and the
     comparison is strict."""
     total = " + ".join(f"abs({_g(a, b)})" for a in range(m) for b in range(m))
     rows = [_g(a, a) + "".join(f" - abs({_g(a, b)})" for b in range(m) if b != a) + " > bound"
             for a in range(m)]
-    return [f"bound = eps + 1e-12 * ({total})", f"if not ({' and '.join(rows)}):"]
+    return [f"bound = {floor} + 1e-12 * ({total})", f"if not ({' and '.join(rows)}):"]
 
 
 def _eliminate(m: int) -> list[str]:
@@ -405,16 +415,18 @@ def _solve(spec, body: _Body, diag: bool) -> _Solved:
     check = ["if min_eig < eps:", f"    {_REGULARITY}"]
     if m == 1:
         out += [f"min_eig = {gram(0, 0)}", f"b0 = {rhs(0)}", *check, "h0 = b0 / min_eig"]
-    elif m or diag:
-        # (m = 0: diag keeps the generic empty-Gram call, which raises in eigvalsh)
-        out += [f"{_g(a, b)} = {gram(a, b)}" for a in range(m) for b in range(a, m)]
-        if diag:  # min_eig is recorded
+    elif not m:
+        if diag:  # the generic empty-Gram call, which raises in eigvalsh
             out += [f"min_eig = _gram_min_eig({matrix})", *check]
-        else:  # eigvalsh only where the certificate fails
-            out += [*_certified(m), f"    min_eig = _gram_min_eig({matrix})",
-                    *(f"    {line}" for line in check)]
-        if m:
-            out += [f"b{a} = {rhs(a)}" for a in range(m)] + _eliminate(m)
+    else:
+        out += [f"{_g(a, b)} = {gram(a, b)}" for a in range(m) for b in range(a, m)]
+        # eigvalsh only where the certificate fails; diag certifies the run's guard
+        # floor, 10 eps, and hands back the Gram matrix where it holds
+        out += [*_certified(m, "10.0 * eps" if diag else "eps"),
+                f"    min_eig = _gram_min_eig({matrix})", *(f"    {line}" for line in check)]
+        if diag:
+            out += ["else:", f"    min_eig = {matrix}"]
+        out += [f"b{a} = {rhs(a)}" for a in range(m)] + _eliminate(m)
     total = ["(" + f0[i] + "".join(f" + {h[a]} * {grads[a][1][i]}" for a in range(m))
              + f") / {mass[i]}" for i in range(n)]
     return _Solved(values, f0, grads, h, total, matrix)
@@ -427,7 +439,8 @@ def _accel(spec, body: _Body) -> list[str]:
 
 def _diag(spec, body: _Body) -> list[str]:
     solved = _solve(spec, body, diag=True)
-    return body.lines + [f"return [{', '.join(solved.values)}], [{', '.join(solved.h)}], min_eig"]
+    return body.lines + [f"return [{', '.join(solved.values)}], [{', '.join(solved.h)}], min_eig, "
+                         f"[{', '.join(solved.total)}]"]
 
 
 def _jac(spec, body: _Body) -> list[str]:
@@ -544,12 +557,14 @@ def _tuple(names: list) -> str:
     return "(" + "".join(f"{x}, " for x in names) + ")"
 
 
-def _second_order_stage(n: int) -> Callable:
+def _second_order_stage(n: int, given: int = -1) -> Callable:
     """Stage of the flow [q, v] -> [v, accel(q, v, t)]: the v half of the stage state
-    is the q half of the slope, as in ``y[n:] + accel(...)``."""
+    is the q half of the slope, as in ``y[n:] + accel(...)``.  Stage ``given`` takes
+    its F from the step's argument a1 instead of calling accel."""
     def stage(lines: list, k: int, y: list, t: str) -> list:
         a = [f"a{k}_{i}" for i in range(n)]
-        lines.append(f"[{', '.join(a)}] = accel({_tuple(y[:n])}, {_tuple(y[n:])}, {t})")
+        f = "a1" if k == given else f"accel({_tuple(y[:n])}, {_tuple(y[n:])}, {t})"
+        lines.append(f"[{', '.join(a)}] = {f}")
         return y[n:] + a
     return stage
 
@@ -617,12 +632,18 @@ _METHODS = {"rk4": _rk4, "rkf45": _rkf45}
 def _step_template(n: int, method: str, extended: bool) -> str:
     """Source of the ``make`` of a step: ``make(accel)`` for the flow [q, v] of n
     coordinates, ``make(flow, mu)`` for the extended row of 4n + 2.  The stage
-    arithmetic depends only on (n, method), so every system of n coordinates shares it."""
+    arithmetic depends only on (n, method), so every system of n coordinates shares it.
+    The RK4 step of the flow [q, v] is ``step(t, y, dt, a1)``: its first stage, at t
+    itself, takes a1 = accel(q, v, t) as given."""
+    signature = "step(t, y, dt)"
     if extended:
         dim, args, stage = 4 * n + 2, ["flow", "mu"], _extended_stage(4 * n + 2)
-    else:
+    elif method == "rk4":
+        dim, args, stage = 2 * n, ["accel"], _second_order_stage(n, given=1)
+        signature = "step(t, y, dt, a1)"
+    else:  # RKF45's first stage is at t + 0.0 * dt, which is not t where t = -0.0
         dim, args, stage = 2 * n, ["accel"], _second_order_stage(n)
-    return _text(args, {"step(t, y, dt)": _METHODS[method](dim, stage)})
+    return _text(args, {signature: _METHODS[method](dim, stage)})
 
 
 @lru_cache(maxsize=64)
@@ -681,7 +702,8 @@ class Kernel:
 
     @cached_property
     def rk4_step(self) -> Callable:
-        """RK4 ``step(t, y, dt)`` of the flow [q, v]: the new row."""
+        """RK4 ``step(t, y, dt, a1)`` of the flow [q, v], a1 being accel at (t, y) (the
+        F that ``diag`` returns there): the new row."""
         return self._step("rk4", False, self.accel)
 
     @cached_property

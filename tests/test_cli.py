@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config validation, outputs."""
 
+import argparse
 import inspect
 import json
 import math
@@ -43,6 +44,23 @@ class TestBasicCommands:
 
     def test_unknown_sleigh_variant(self, capsys):
         assert main(["sleigh", "rocket"]) == 2
+
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *args: parsers.append(self) or parse_args(self, *args))
+        assert main(["list-scenarios"]) == main(["list-scenarios"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_usage_error_leaves_the_shared_parser_usable(self, tmp_path, capsys):
+        # a missing argument exits 2 inside argparse; the next call parses afresh
+        cfg = base_config(tmp_path, checks=[{"type": "drift", "tolerance": 1e-6}])
+        assert main(["verify"]) == 2
+        assert "required: config" in capsys.readouterr().err
+        assert main(["verify", cfg]) == 0
+        assert main(["verify", cfg, "--dt", "0.1"]) == 2
+        assert main(["verify", cfg]) == 0
 
 
 class TestSimulate:

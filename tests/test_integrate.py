@@ -1,6 +1,7 @@
 """Time integration: accuracy, drift guards, events, projection, failed runs."""
 
 import contextlib
+import hashlib
 import math
 import signal
 
@@ -17,6 +18,7 @@ from nonholo.hamiltonian import ExtendedPhasePoint, hamiltonian_value
 from nonholo.integrate import (
     PROJECTION_TOL,
     IntegratorConfig,
+    Termination,
     integrate_hamiltonian,
     integrate_second_order,
 )
@@ -313,3 +315,46 @@ class TestFailedRuns:
                 traj = integrate_second_order(spec, (0.5,), (-1.0,), cfg)
             finite = np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.v))
             assert traj.termination.kind == "error" or finite
+
+
+def _column_digest(column) -> str:
+    return hashlib.sha256(np.ascontiguousarray(column).tobytes()).hexdigest()
+
+
+class TestDegenerateGram:
+    """G = [[1, 1], [1, 1 + (1 - t)^2]] from q = v = 0: its smallest eigenvalue, about
+    (1 - t)^2 / 2, reaches the guard floor 10 eps_reg = 1e-9 near t = 1 - 4.47e-5 and
+    zero at t = 1."""
+
+    @staticmethod
+    def run(method, t_end, projection=False):
+        spec = make_system(2, (1, 1), constraints=("v1", "v1 + (1 - t)*v2"))
+        cfg = IntegratorConfig(method=method, dt=1e-3, t_end=t_end, projection=projection)
+        return integrate_second_order(spec, (0.0, 0.0), (0.0, 0.0), cfg)
+
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("method, t_event, samples, digest", [
+        ("rk4", 0.9999552786931549, 1001,
+         "b48e63b89bd9cbbd50819c6ca462b574f8b7d62c75b073733cdc75909429fc32"),
+        ("rkf45", 0.9999552786752581, 15,
+         "3e12bc2abafc5e9feb0daba58d0ba338ae83742936129a47c1ed957ca228b6e1"),
+    ])
+    def test_floor_event_before_the_singularity(self, method, t_event, samples, digest,
+                                                projection):
+        traj = self.run(method, 0.99998, projection)
+        assert traj.termination == Termination("event", "gram_eigenvalue_floor", t_event)
+        assert len(traj.times) == samples
+        assert traj.gram_min_eig[-1] < 1e-9 < traj.gram_min_eig[-2]
+        assert _column_digest(traj.gram_min_eig) == digest
+        if method == "rk4":
+            assert traj.gram_min_eig[-1] == 9.999976402497168e-10
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_rk4_stage_on_the_singularity_is_a_regularity_error(self, projection):
+        # the step from t = 0.999 evaluates F at t = 1, where G is singular
+        traj = self.run("rk4", 2.0, projection)
+        assert traj.termination.kind == "error"
+        assert traj.termination.name.startswith("regularity: ")
+        assert traj.termination.t == 0.999 == traj.times[-1]
+        assert _column_digest(traj.gram_min_eig) == (
+            "e1cf408abc6eda523f8b6d2cfdc7e29e13190cef27041aa21067bd8b241674df")

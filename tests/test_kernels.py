@@ -94,11 +94,27 @@ def _generic_diag(spec, q, v, t):
     return d, h, min_eig
 
 
+def _filled_diag(spec, q, v, t):
+    """``diag`` without its F, a deferred eigenvalue filled in by the stacked call as a
+    run fills it; the Gram matrix stands in only where its eigenvalue clears the run's
+    guard floor 10 eps_reg."""
+    d, h, min_eig, _ = spec.kernel.diag(q, v, t)
+    if isinstance(min_eig, list):
+        min_eig = float(engine._gram_min_eigs([min_eig])[0])
+        assert min_eig > 10.0 * spec.constraints.eps_reg
+    return d, h, min_eig
+
+
 def _assert_kernel_matches(spec, states):
     accel, diag, jac = spec.kernel.accel, spec.kernel.diag, spec.kernel.jac
     for q, v, t in states:
-        assert _outcome(accel, q, v, t) == _outcome(engine.acceleration_raw, spec, q, v, t)
-        assert _outcome(diag, q, v, t) == _outcome(_generic_diag, spec, q, v, t)
+        f = _outcome(accel, q, v, t)
+        assert f == _outcome(engine.acceleration_raw, spec, q, v, t)
+        assert _outcome(_filled_diag, spec, q, v, t) == _outcome(_generic_diag, spec, q, v, t)
+        # diag's F is accel's where diag returns, so diag raises wherever accel does
+        f_diag = _outcome(lambda: diag(q, v, t)[3])
+        if f_diag[0] == "returned":
+            assert f_diag == f
         assert (_outcome(jac, q, v, t)
                 == _outcome(engine.acceleration_jacobian_raw, spec, q, v, t))
 
@@ -385,25 +401,55 @@ class TestGramSolve:
         assert (_outcome(_unrolled_solve(m), *upper.values(), *rhs)
                 == _outcome(engine._solve_linear, gram, rhs))
 
-    def test_wheel_rk4_computes_one_eigenvalue_per_sample(self, monkeypatch):
-        # only diag, whose value is recorded, needs the eigenvalue of the wheel's
-        # certified Gram matrix; the generic path computes one per RHS too (5N + 1)
-        calls = []
-        min_eig = engine._gram_min_eig
-
-        def counted(gram):
-            calls.append(gram)
-            return min_eig(gram)
-        monkeypatch.setattr(engine, "_gram_min_eig", counted)
+    def test_wheel_rk4_fills_every_eigenvalue_in_one_stacked_call(self, monkeypatch):
+        # the wheel's Gram matrix diag(1, 2) is certified above the guard floor at every
+        # sample, so no sample calls eigvalsh; the run fills the column in one stacked
+        # call, with the floats of one call per sample (the generic path makes 5N + 1)
+        calls, stacked = [], []
+        min_eig, min_eigs = engine._gram_min_eig, engine._gram_min_eigs
+        monkeypatch.setattr(engine, "_gram_min_eig", lambda gram: calls.append(gram)
+                            or min_eig(gram))
+        monkeypatch.setattr(engine, "_gram_min_eigs", lambda grams: stacked.append(grams)
+                            or min_eigs(grams))
         kernels._compile.cache_clear()  # compile afresh, over the counter
         try:
+            spec = wheel_system()
             q0, v0 = wheel_state(0.4, 1.1, 0.7)
-            traj = integrate_second_order(wheel_system(), q0, v0,
+            traj = integrate_second_order(spec, q0, v0,
                                           IntegratorConfig(method="rk4", dt=0.01, t_end=0.5))
         finally:
             kernels._compile.cache_clear()  # no later spec gets the counter
         assert len(traj.times) == 51
-        assert len(calls) == len(traj.times)
+        assert calls == []
+        assert [len(grams) for grams in stacked] == [51]
+        per_sample = [engine.multipliers_raw(spec, q, v, t)[3]
+                      for q, v, t in zip(traj.q.tolist(), traj.v.tolist(), traj.times)]
+        assert _bits(traj.gram_min_eig.tolist()) == _bits(per_sample)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data(), m=st.integers(2, 4), count=st.integers(1, 6),
+           scale=st.sampled_from([1e-150, 1e-75, 1e-10, 1.0, 1e10, 1e75, 1e150]))
+    def test_stacked_fill_is_the_per_matrix_eigenvalue(self, data, m, count, scale):
+        """The stacked ``eigvalsh`` of a run's fill is ``_gram_min_eig`` of each matrix,
+        bit for bit: Gram matrices A A^T of random A, ties (c I, repeated rows) and
+        diag(1, 2), over scales from 1e-150 to 1e150."""
+        def matrix():
+            kind = data.draw(st.sampled_from(["random", "identity", "repeated"]
+                                             + ["wheel"] * (m == 2)))
+            if kind == "wheel":
+                return [[scale, 0.0], [0.0, 2.0 * scale]]
+            if kind == "identity":
+                c = scale * data.draw(st.floats(0.5, 2.0))
+                return [[c if i == j else 0.0 for j in range(m)] for i in range(m)]
+            a = [data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+                 for _ in range(m)]
+            if kind == "repeated":
+                a[-1] = list(a[0])
+            return [[scale * sum(x * y for x, y in zip(a[i], a[j])) for j in range(m)]
+                    for i in range(m)]
+        grams = [matrix() for _ in range(count)]
+        assert (_bits(engine._gram_min_eigs(grams).tolist())
+                == _bits([engine._gram_min_eig(gram) for gram in grams]))
 
 
 # e = 0 raises; 1e-170 makes 2 e^2 underflow, so pi_e's rate divides by zero
@@ -447,8 +493,11 @@ def _assert_steps_match(spec, rows, t, dt):
         extended = spec.kernel.extended_step(method, _mu)
         for row in rows:
             y = row[:n] + row[2 * n:3 * n]
-            assert (_outcome(step, t, y, dt)
-                    == _outcome(reference, _second_order_rhs(spec), t, y, dt))
+            if method == "rk4":  # the run hands the RK4 step its first F (diag's, or accel)
+                generated = partial(lambda y: step(t, y, dt, spec.kernel.accel(y[:n], y[n:], t)), y)
+            else:
+                generated = partial(step, t, y, dt)
+            assert _outcome(generated) == _outcome(reference, _second_order_rhs(spec), t, y, dt)
             assert (_outcome(extended, t, row, dt)
                     == _outcome(reference, _extended_rhs(spec), t, row, dt))
 
@@ -533,7 +582,12 @@ class TestGeneratedSteps:
         if ref.termination.kind != "event":
             assert ext.termination == ref.termination
 
-    def test_rk4_run_calls_accel_four_times_and_diag_once_per_step(self):
+    @pytest.mark.parametrize("variant, accel_per_step, diags", [
+        ("lda_linear", 3, 1),  # m = 1: the first stage is the F of the sample's diag
+        ("friction", 4, 0),  # m = 0: no diag; the run calls accel for the first stage
+    ])
+    def test_rk4_run_calls_accel_three_times_and_diag_once_per_step(self, variant,
+                                                                     accel_per_step, diags):
         calls = {"accel": 0, "diag": 0}
 
         def counted(name, fn):
@@ -542,7 +596,7 @@ class TestGeneratedSteps:
                 return fn(*args)
             return wrapper
         params = SleighParams()
-        spec = build_sleigh_spec("lda_linear", params)
+        spec = build_sleigh_spec(variant, params)
         kernel = spec.kernel  # the step, built on the first run, binds the counted accel
         kernel.accel, kernel.diag = counted("accel", kernel.accel), counted("diag", kernel.diag)
         traj = integrate_second_order(spec, *initial_state(params),
@@ -550,7 +604,7 @@ class TestGeneratedSteps:
         assert traj.termination.kind == "completed"
         steps = len(traj.times) - 1
         assert steps == 100
-        assert calls == {"accel": 4 * steps, "diag": steps + 1}
+        assert calls == {"accel": accel_per_step * steps, "diag": diags * (steps + 1)}
 
 
 def _extended_row(q0, v0, pi):
