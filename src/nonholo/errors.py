@@ -39,3 +39,8 @@ class ConfigError(NonholoError):
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
         self.field = field
+
+
+# the exceptions a run ends as an "error" termination: the package's own, float
+# arithmetic (overflow, division by zero) and math domain errors
+RUN_ERRORS = (NonholoError, ArithmeticError, ValueError)

@@ -102,9 +102,12 @@ def hamiltonian_vector_field(spec: SystemSpec, y, mu_e: float = 0.0, t: float = 
     return [*v, *pd, *vd, *pid, mu_e, pi_ed]
 
 
-def constraint_surface_residual(y, n: int) -> float:
-    """max(|pi_e|, ||p||_inf, ||pi||_inf) at the flat row y; zero exactly on the surface."""
-    return max(map(abs, [y[4 * n + 1], *y[n:2 * n], *y[3 * n:4 * n]]))
+def constraint_surface_residual(y, n: int):
+    """max(|pi_e|, ||p||_inf, ||pi||_inf) at the flat row y, or per row of an array of
+    rows; zero exactly on the surface, NaN where any of them is NaN."""
+    y = np.asarray(y, dtype=float)
+    columns = [4 * n + 1, *range(n, 2 * n), *range(3 * n, 4 * n)]
+    return np.max(np.abs(y[..., columns]), axis=-1)
 
 
 def _coordinate_gradient(f, y) -> list:

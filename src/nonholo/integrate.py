@@ -10,6 +10,21 @@ a right-hand side: ``spec.kernel.rk4_step`` or ``rkf45_step`` for the flow
 They unroll ``_rk4_step`` and ``_rkf45_step`` below, which stay as the
 reference the tests hold them to, bit for bit (as ``engine`` is for the
 kernels).  ``_drive`` gets the step, and event bisection uses the same step.
+Every run accepts a new state through ``_advance``: the finite test, the
+guards' crossing test with bisection, and the record.
+
+A second-order RK4 run with constraints steps in ``spec.kernel.rk4_run``, the
+generated run loop: per step the generated step, the finite test, ``diag``,
+the Gram and drift margins, the user guards, the projection and the record,
+with the float operations and calls of ``_drive`` and none of its Python per
+step.  The loop records every new sample whose margins all read > 0.0, which
+``_advance`` would accept as it is.  At the first sample that is not finite,
+reads a margin that is not > 0.0 (NaN included), or makes ``accel``,
+``diag``, a guard or the projection raise, it returns that step with the row
+and ``diag`` it made, and ``_advance`` takes it, with the guards armed as the
+driver would have them; the loop then resumes after it.  So bisection, event
+records and error terminations stay in one place.  RKF45, runs without
+constraints and the extended flow step in ``_drive``.
 The second-order run calls ``diag`` once per sample: its guards and its
 record read one result per state, and so does the RK4 step that starts
 there, whose first stage is ``diag``'s F (a run with m = 0 has no ``diag``
@@ -31,7 +46,7 @@ import numpy as np
 
 from . import engine, hamiltonian
 from .engine import SystemSpec
-from .errors import InitialStateError, NonholoError, RegularityError
+from .errors import RUN_ERRORS, InitialStateError, RegularityError
 from .kernels import _RKF_A, _RKF_B, _RKF_C4, _RKF_C5
 
 EVENT_TIME_TOL = 1e-10
@@ -164,6 +179,53 @@ def _bisect_event(step, guard, t_prev, y_prev, dt):
     return t_prev + hi, y_hi
 
 
+def _arm(guards, t, y):
+    """(armed, termination) at the first state: a guard that reads <= 0 there ends the
+    run at once as an event; armed[i] is whether guard i reads > 0.0."""
+    values = [g(t, y) for _, g in guards]
+    for (name, _), gv in zip(guards, values):
+        if gv <= 0.0:
+            return None, Termination("event", name, t)
+    return [gv > 0.0 for gv in values], None
+
+
+def _advance(step, guards, armed, accept, t_prev, y_prev, t_new, y_new):
+    """Guard check and acceptance of the state y_new that step(t, y, dt), which returns
+    the new state, made from the last accepted one; returns (t, y, termination or None).
+
+    armed[i] is whether guard i read > 0.0 at the last accepted state: a guard crosses
+    where it reads <= 0.0 and was armed (a NaN reading disarms it until it reads > 0.0
+    again).  The first crossing is located by bisection with the same step, the event
+    sample is accepted, and the run terminates; otherwise the new readings rearm the
+    guards in place and accept(t, y) records the state, and may return it adjusted.
+    """
+    if not all(map(math.isfinite, y_new)):
+        return t_prev, y_prev, Termination("error", "non-finite state", t_prev)
+    g_new = [g(t_new, y_new) for _, g in guards]
+    for idx, gv in enumerate(g_new):
+        if gv <= 0.0 and armed[idx]:
+            name, guard = guards[idx]
+            t_event, y_event = _bisect_event(step, guard, t_prev, y_prev, t_new - t_prev)
+            accept(t_event, y_event)
+            return t_event, y_event, Termination("event", name, t_event)
+        armed[idx] = gv > 0.0
+    adjusted = accept(t_new, y_new)
+    if adjusted is not None:
+        y_new = adjusted
+    return t_new, y_new, None
+
+
+def _grid(cfg: IntegratorConfig):
+    """(steps, dt) of a fixed-step run: t_end in equal steps near cfg.dt."""
+    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+    return n_steps, cfg.t_end / n_steps
+
+
+def _failure(exc: Exception, t: float) -> Termination:
+    cause = "regularity" if isinstance(exc, RegularityError) else type(exc).__name__
+    return Termination("error", f"{cause}: {exc}", t)
+
+
 def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
     """Advance with the run's step; returns a Termination.
 
@@ -171,11 +233,11 @@ def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
     for rkf45.  accept(t, y) records an accepted sample and may return an
     adjusted state (velocity projection).  Guards are (name, g(t, y)) pairs;
     when g crosses from positive to <= 0 the crossing is located by bisection
-    with the same step, the event sample is recorded, and the run terminates.
-    Every state reaches the guards and accept at one time only, and y0 itself
-    is the first.  Non-finite values, an RKF45 step over tolerance at dt_min,
-    or a NonholoError, ArithmeticError or ValueError (math domain) end the run
-    as "error" at the last accepted time.
+    with the same step, the event sample is recorded, and the run terminates
+    (``_advance``).  Every state reaches the guards and accept at one time
+    only, and y0 itself is the first.  Non-finite values, an RKF45 step over
+    tolerance at dt_min, or one of ``RUN_ERRORS`` end the run as "error" at
+    the last accepted time.
     """
     t = t0
     y = y0
@@ -187,35 +249,16 @@ def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
         def substep(t_prev, y_prev, dt):
             return step(t_prev, y_prev, dt)[0]
 
-    def advance(t_prev, y_prev, t_new, y_new):
-        """Guard check + acceptance; returns (t, y, termination_or_None)."""
-        nonlocal g_prev
-        if not all(map(math.isfinite, y_new)):
-            return t_prev, y_prev, Termination("error", "non-finite state", t_prev)
-        g_new = [g(t_new, y_new) for _, g in guards]
-        for idx, gv in enumerate(g_new):
-            if gv <= 0.0 < g_prev[idx]:
-                name, guard = guards[idx]
-                t_event, y_event = _bisect_event(substep, guard, t_prev, y_prev, t_new - t_prev)
-                accept(t_event, y_event)
-                return t_event, y_event, Termination("event", name, t_event)
-        g_prev = g_new
-        adjusted = accept(t_new, y_new)
-        if adjusted is not None:
-            y_new = adjusted
-        return t_new, y_new, None
-
     try:
-        g_prev = [g(t, y) for _, g in guards]
-        for (name, _), gv in zip(guards, g_prev):
-            if gv <= 0.0:
-                return Termination("event", name, t)
+        armed, stop = _arm(guards, t, y)
+        if stop is not None:
+            return stop
 
         if cfg.method == "rk4":
-            n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-            dt = cfg.t_end / n_steps
+            n_steps, dt = _grid(cfg)
             for i in range(n_steps):
-                t, y, stop = advance(t, y, t0 + (i + 1) * dt, step(t, y, dt))
+                t, y, stop = _advance(substep, guards, armed, accept, t, y,
+                                      t0 + (i + 1) * dt, step(t, y, dt))
                 if stop is not None:
                     return stop
             return Termination("completed", t=t)
@@ -229,7 +272,7 @@ def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
             if not math.isfinite(err):
                 return Termination("error", "non-finite error estimate", t)
             if err <= scale:
-                t, y, stop = advance(t, y, t + dt, y_new)
+                t, y, stop = _advance(substep, guards, armed, accept, t, y, t + dt, y_new)
                 if stop is not None:
                     return stop
             elif dt <= cfg.dt_min * (1 + 1e-12):
@@ -240,9 +283,8 @@ def _drive(step, y0, cfg: IntegratorConfig, accept, guards, t0: float = 0.0):
                 dt = dt * 4.0
             dt = min(max(dt, cfg.dt_min), cfg.dt_max)
         return Termination("completed", t=t)
-    except (NonholoError, ArithmeticError, ValueError) as exc:
-        cause = "regularity" if isinstance(exc, RegularityError) else type(exc).__name__
-        return Termination("error", f"{cause}: {exc}", t)
+    except RUN_ERRORS as exc:
+        return _failure(exc, t)
 
 
 # --- second-order system --------------------------------------------------------
@@ -251,7 +293,7 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
                            guards=(), t0: float = 0.0) -> Trajectory:
     """Integrate qdd = total acceleration, recording constraint diagnostics.
 
-    Initial data must satisfy the constraints to INITIAL_CONSTRAINT_TOL
+    Initial data must be finite and satisfy the constraints to INITIAL_CONSTRAINT_TOL
     (use project_initial_state to repair user data first).  Built-in guards:
     Gram-eigenvalue margin (always) and constraint drift (projection off).
     """
@@ -261,6 +303,8 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
     v0 = [float(x) for x in v0]
     if len(q0) != n or len(v0) != n:
         raise ValueError("initial data dimension mismatch")
+    if not all(map(math.isfinite, [*q0, *v0, t0])):
+        raise InitialStateError("non-finite initial state")
     if m:
         d0 = engine.constraint_values(spec, q0, v0, t0)
         if max(abs(x) for x in d0) > INITIAL_CONSTRAINT_TOL:
@@ -293,6 +337,9 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
             hs.append(h)
             eigs.append(min_eig)
 
+    def project(q, v, t):
+        return list(engine.project_initial_state(spec, q, v, t, tol=PROJECTION_TOL))
+
     if cfg.projection and m:
         def accept(t, y):
             # the projection returns v as it is where max |D| <= PROJECTION_TOL, its first
@@ -300,11 +347,10 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
             # projection and then record raise as before
             try:
                 on_surface = max(map(abs, diagnostics(t, y)[0])) <= PROJECTION_TOL
-            except (NonholoError, ArithmeticError, ValueError):
+            except RUN_ERRORS:
                 on_surface = False
             if not on_surface:
-                y = y[:n] + list(engine.project_initial_state(spec, y[:n], y[n:], t,
-                                                              tol=PROJECTION_TOL))
+                y = y[:n] + project(y[:n], y[n:], t)
             record(t, y)
             return y
     else:
@@ -347,7 +393,47 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
             run_guards.append(("constraint_drift", drift_margin))
 
-    termination = _drive(step, y0, cfg, accept, run_guards, t0)
+    def drive_run():
+        """``_drive``'s RK4 loop, run by ``kernel.rk4_run`` from the last recorded sample
+        up to the first step that needs the driver; ``_advance`` takes that step, with
+        its row and diag where the loop made them, and the loop goes on after it."""
+        nonlocal last_y, last_d, f_recorded
+        run = kernel.rk4_run
+        user = [g for _, g in guards]
+        projection = project if cfg.projection else None
+        t = t0
+        try:
+            armed, stop = _arm(run_guards, t, y0)
+            if stop is not None:
+                return stop
+            n_steps, dt = _grid(cfg)
+            i = 0
+            while True:
+                start = i
+                i, f_recorded, y_new, d_new = run(t0, dt, i, n_steps, f_recorded, times, rows,
+                                                  ds, hs, eigs, user, floor,
+                                                  cfg.drift_tolerance, projection, PROJECTION_TOL)
+                t = times[-1]
+                if i == n_steps:
+                    return Termination("completed", t=t)
+                if i > start:  # the loop recorded a state, every margin > 0.0 there
+                    armed = [True] * len(run_guards)
+                if y_new is None:  # the step raised
+                    y_new = step(t, rows[-1], dt)
+                elif d_new is not None:
+                    last_y, last_d = y_new, d_new
+                t, _, stop = _advance(step, run_guards, armed, accept, t, rows[-1],
+                                      t0 + (i + 1) * dt, y_new)
+                if stop is not None:
+                    return stop
+                i += 1
+        except RUN_ERRORS as exc:
+            return _failure(exc, t)
+
+    if cfg.method == "rk4" and m:
+        termination = drive_run()
+    else:
+        termination = _drive(step, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)
     # only m >= 2 certifies: the certified samples' eigenvalues, in one call
     deferred = [i for i, x in enumerate(eigs) if x.__class__ is list] if m > 1 else []
@@ -369,12 +455,14 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
 def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, guards=(),
                           t0: float = 0.0) -> ExtendedTrajectory:
-    """Integrate the 4n+2 flow from the flat row y0 = [q, p, v, pi, e, pi_e];
-    mu_e is a time function (None means 0)."""
+    """Integrate the 4n+2 flow from the flat row y0 = [q, p, v, pi, e, pi_e], finite
+    with e != 0; mu_e is a time function (None means 0)."""
     n = spec.n
     y0 = [float(x) for x in y0]
     if len(y0) != 4 * n + 2:
         raise ValueError("initial data dimension mismatch")
+    if not all(map(math.isfinite, [*y0, t0])):
+        raise InitialStateError("non-finite initial state")
     if y0[4 * n] == 0.0:
         raise InitialStateError("e(0) must be nonzero")
     if mu_e is None:
@@ -397,7 +485,6 @@ def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, gua
         times=np.array(times),
         q=arr[:, 0:n], p=arr[:, n:2 * n], v=arr[:, 2 * n:3 * n], pi=arr[:, 3 * n:4 * n],
         e=arr[:, 4 * n], pi_e=arr[:, 4 * n + 1],
-        surface_residual=np.array([hamiltonian.constraint_surface_residual(y, n)
-                                   for y in rows]),
+        surface_residual=hamiltonian.constraint_surface_residual(arr, n),
         termination=termination,
     )

@@ -70,7 +70,7 @@ literals of the trees, save the integer exponents that are unrolled -- so
 systems that differ only in such numbers (friction k, masses, ``eps_reg``)
 share one ``compile()``.
 
-The integrators step with generated code too, in three more functions:
+The integrators step with generated code too, in four more functions:
 
 * ``step(t, y, dt, a1)`` of RK4 and ``step(t, y, dt)`` of RKF45 (which returns
   ``(y5, err)``) for the flow [q, v]: bit for bit ``integrate._rk4_step`` and
@@ -84,15 +84,27 @@ The integrators step with generated code too, in three more functions:
   branch (``accel``) and its contractions sum_j pi_j dF_j/dx_i over what
   ``jac`` returns unrolled;
 * the same two steps for the extended flow, stage by stage
-  ``flow(row, mu(t), t)``.
+  ``flow(row, mu(t), t)``;
+* ``run(...)``, the RK4 run loop of the flow [q, v] with constraints
+  (``Kernel.rk4_run``): the RK4 step above, each stage emitted by the same
+  ``_rk4``, followed per step by the new row's finite test, its ``diag``, the
+  run's margins (the Gram floor, the drift or the projection's surface test,
+  and the user guards, called as ``g(t, row)``) and the append of the sample
+  to the run's lists.  It returns to ``integrate`` at the first step that the
+  driver must take (``integrate._advance``): a row that is not finite, a
+  margin that is not > 0.0, or an error in ``accel``, ``diag``, a guard or
+  the projection, which ``integrate`` passes in as ``project(q, v, t)``.
 
 A step unpacks the row into locals and unrolls each stage per component,
 with the reference's operations in its order, zero weights included (0.0 *
-inf is NaN).  Its source depends only on (n, method), and that of ``flow`` on
-n alone, so each text is generated once per process (``_step_template``,
-``_flow_template``) and every system of that size binds its one compile: a
-fresh spec, as CLI ``verify`` builds per config, generates no step source.
-The kernel builds its two steps and ``flow`` on first use and keeps them;
+inf is NaN).  Its source depends only on (n, method), and that of ``flow``
+and of the run loop on n alone, so each text is generated once per process
+(``_step_template``, ``_flow_template``, ``_run_template``) and every system
+of that size binds its one compile: a fresh spec, as CLI ``verify`` builds
+per config, generates no step source.  The run loop binds ``accel`` and
+``diag`` and takes everything of the run (its lists, guards, floor, drift
+tolerance and projection) as arguments, so it holds nothing of the spec.
+The kernel builds its two steps, the run loop and ``flow`` on first use and keeps them;
 ``extended_step`` binds the run's mu_e, so it is built per run.  ``flow``
 gets ``jac`` through a cached builder at each off-surface call, which keeps
 ``jac`` unbuilt until the first off-surface evaluation.  The kernel keeps a
@@ -111,7 +123,7 @@ import numpy as np
 
 from . import engine
 from .dual import _POLE_TOL
-from .errors import ExprDomainError, RegularityError
+from .errors import RUN_ERRORS, ExprDomainError, RegularityError
 from .expr import Const, Unary, Var, partial_exprs
 
 _REGULARITY = ('raise RegularityError(f"constraint Gram matrix smallest eigenvalue '
@@ -529,7 +541,8 @@ def _compile(text: str) -> Callable:
     builtins.  The namespace is read here, so a patched ``engine._gram_min_eig`` reaches
     only later compiles."""
     namespace = dict(_sin=math.sin, _cos=math.cos, _log=math.log, _sqrt=math.sqrt,
-                     _exp=_exp, _pow=_pow, abs=abs, max=max,
+                     _exp=_exp, _pow=_pow, abs=abs, max=max, map=map, list=list,
+                     isfinite=math.isfinite, RUN_ERRORS=RUN_ERRORS,
                      RegularityError=RegularityError, ExprDomainError=ExprDomainError,
                      _gram_min_eig=engine._gram_min_eig, _lu_solve=np.linalg.solve,
                      _array=np.array, __builtins__={})
@@ -578,8 +591,9 @@ def _extended_stage(dim: int) -> Callable:
     return stage
 
 
-def _rk4(dim: int, stage: Callable) -> list[str]:
-    """``integrate._rk4_step`` unrolled per component: the same operations in its order."""
+def _rk4(dim: int, stage: Callable, into: str = "return") -> list[str]:
+    """``integrate._rk4_step`` unrolled per component: the same operations in its order.
+    The last line is ``{into} [new row]``: the step returns it, the run loop assigns it."""
     s = [f"s{i}" for i in range(dim)]
     lines = [f"[{', '.join(s)}] = y"]
     k1 = stage(lines, 1, s, "t")
@@ -596,7 +610,7 @@ def _rk4(dim: int, stage: Callable) -> list[str]:
     lines.append("sixth = dt / 6.0")
     new = [f"{s[i]} + sixth * ({k1[i]} + 2.0 * ({k2[i]} + {k3[i]}) + {k4[i]})"
            for i in range(dim)]
-    return lines + [f"return [{', '.join(new)}]"]
+    return lines + [f"{into} [{', '.join(new)}]"]
 
 
 def _rkf45(dim: int, stage: Callable) -> list[str]:
@@ -647,6 +661,69 @@ def _step_template(n: int, method: str, extended: bool) -> str:
 
 
 @lru_cache(maxsize=64)
+def _run_template(n: int) -> str:
+    """Source of the ``make(accel, diag)`` of the RK4 run loop of the flow [q, v] of n
+    coordinates, ``Kernel.rk4_run``: per step the RK4 step of ``_step_template`` (its
+    first stage the F of the last recorded ``diag``), the new row's finite test, its
+    ``diag``, the margins of the run's guards, the projection and the record.  Any of
+    those that needs the driver returns the step to it."""
+    dim = 2 * n
+    z, w = [f"z{i}" for i in range(dim)], [f"w{i}" for i in range(n)]
+    q, v = _tuple(z[:n]), _tuple(z[n:])
+    step = _rk4(dim, _second_order_stage(n, given=1), into="y =")
+    finite = " and ".join(f"isfinite({x})" for x in z)
+    body = [
+        "t, y = times[-1], rows[-1]",
+        "add_t, add_y, add_d, add_h, add_e = (times.append, rows.append, ds.append, "
+        "hs.append, eigs.append)",
+        "while i < n_steps:",
+        "    tn = t0 + (i + 1) * dt",
+        "    try:",
+        *(f"        {line}" for line in step),
+        "    except RUN_ERRORS:",
+        "        return i, a1, None, None",
+        f"    [{', '.join(z)}] = y",
+        f"    if not ({finite}):",
+        "        return i, a1, y, None",
+        "    try:",
+        f"        d = diag({q}, {v}, tn)",
+        "    except RUN_ERRORS:",
+        "        return i, a1, y, None",
+        "    D, h, min_eig, f = d",
+        "    far = max(map(abs, D))",
+        # a Gram matrix in min_eig's place certifies it above the floor
+        "    if min_eig.__class__ is not list and not min_eig - floor > 0.0:",
+        "        return i, a1, y, d",
+        "    if project is None and not drift - far > 0.0:",
+        "        return i, a1, y, d",
+        "    try:",
+        "        for g in guards:",
+        "            if not g(tn, y) > 0.0:",
+        "                return i, a1, y, d",
+        "    except RUN_ERRORS:",
+        "        return i, a1, y, d",
+        "    if project is not None and not far <= tol:",
+        "        try:",
+        f"            [{', '.join(w)}] = project({q}, {v}, tn)",
+        f"            d = diag({q}, {_tuple(w)}, tn)",
+        "        except RUN_ERRORS:",
+        "            return i, a1, y, d",
+        f"        y = [{', '.join(z[:n] + w)}]",
+        "        D, h, min_eig, f = d",
+        "    add_t(tn)",
+        "    add_y(y)",
+        "    add_d(D)",
+        "    add_h(h)",
+        "    add_e(min_eig)",
+        "    t, a1, i = tn, f, i + 1",
+        "return i, a1, None, None",
+    ]
+    signature = ("run(t0, dt, i, n_steps, a1, times, rows, ds, hs, eigs, guards, floor, drift, "
+                 "project, tol)")
+    return _text(["accel", "diag"], {signature: body})
+
+
+@lru_cache(maxsize=64)
 def _flow_template(n: int) -> str:
     """Source of the ``make(accel, get_jac)`` of the extended flow of n coordinates: bit for
     bit ``hamiltonian.hamiltonian_vector_field``, with the contractions
@@ -681,8 +758,8 @@ def _flow_template(n: int) -> str:
 
 class Kernel:
     """The generated code of one system, kept on its spec (``SystemSpec.kernel``).
-    ``accel`` and ``diag`` are built with it; ``jac``, ``rk4_step``, ``rkf45_step`` and
-    ``flow`` on first use, and kept; ``extended_step`` per run, because it binds the run's
+    ``accel`` and ``diag`` are built with it; ``jac``, ``rk4_step``, ``rkf45_step``,
+    ``rk4_run`` and ``flow`` on first use, and kept; ``extended_step`` per run, because it binds the run's
     mu_e.  Nothing here refers back to the spec or to the kernel, so reference counting
     frees them with the spec."""
 
@@ -717,6 +794,25 @@ class Kernel:
         ``hamiltonian_vector_field``."""
         (flow,) = _compile(_flow_template(self._n))(self.accel, self._get_jac)
         return flow
+
+    @cached_property
+    def rk4_run(self) -> Callable:
+        """The RK4 run loop of the flow [q, v] for m >= 1, ``run(t0, dt, i, n_steps, a1,
+        times, rows, ds, hs, eigs, guards, floor, drift, project, tol) -> (i, a1, y, d)``.
+
+        From the last recorded sample (``times[-1]``, ``rows[-1]``, whose F is a1) it
+        takes steps i, i + 1, .. < n_steps of size dt, step i ending at t0 + (i + 1) * dt,
+        and appends each new sample's t, row, D, h and min_eig to the five lists.  It
+        returns at the first new row that is not finite, makes ``accel``, ``diag``, a
+        guard or ``project`` raise one of ``RUN_ERRORS``, or reads a margin that is not
+        > 0.0 (NaN included): min_eig - floor, drift - max |D| (project None) and each
+        user guard ``g(t, row)`` of ``guards``.  It returns that step's index i, the F of
+        the last recorded sample, the new row (None where the step raised) and its
+        ``diag`` (None where it was not made or raised); i == n_steps when every step was
+        recorded.  With ``project`` (``project(q, v, t)`` -> v), a row with max |D| > tol
+        is recorded with its projected v and that state's ``diag``."""
+        (run,) = _compile(_run_template(self._n))(self.accel, self.diag)
+        return run
 
     def extended_step(self, method: str, mu: Callable) -> Callable:
         """``step(t, y, dt)`` of the extended flow with mu_e = mu(t)."""

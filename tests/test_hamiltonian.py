@@ -1,5 +1,6 @@
 """Extended phase space: Hamiltonian, vector field, brackets, gauge map."""
 
+import math
 import random
 
 import numpy as np
@@ -325,6 +326,13 @@ class TestSurfaceResidual:
     def test_max_norm(self):
         y = point(p=(0.1, -0.3), pi=(0.2, 0.0), pi_e=0.05)
         assert constraint_surface_residual(y, 2) == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("field, value", [("p", (0.1, float("nan"))),
+                                              ("pi", (float("nan"), 0.2)), ("pi_e", float("nan"))])
+    def test_nan_anywhere_reads_nan(self, field, value):
+        # max alone keeps a NaN only in first place: max(0.1, nan) is 0.1
+        y = point(**{**dict(p=(0.3, 0.1), pi=(0.2, 0.0), pi_e=0.05), field: value})
+        assert math.isnan(constraint_surface_residual(y, 2))
 
 
 def straight_line_path(n_steps=200, dt=0.01, v=(1.0, 0.5)):

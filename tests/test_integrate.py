@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sleigh_run, wheel_state, wheel_system
-from nonholo import engine
+from nonholo import engine, integrate
 from nonholo.engine import make_system
-from nonholo.errors import InitialStateError
+from nonholo.errors import InitialStateError, NoConvergence
 from nonholo.hamiltonian import ExtendedPhasePoint, hamiltonian_value
 from nonholo.integrate import (
     PROJECTION_TOL,
@@ -22,7 +22,7 @@ from nonholo.integrate import (
     integrate_hamiltonian,
     integrate_second_order,
 )
-from nonholo.scenarios import SleighParams, build_sleigh_spec, initial_state
+from nonholo.scenarios import SCENARIOS, SleighParams, build_sleigh_spec, initial_state
 
 
 def oscillator():
@@ -88,6 +88,17 @@ class TestSecondOrder:
         _, traj = sleigh_run(dt=1e-3, t_end=2 * math.pi)
         assert traj.termination.kind == "completed"
         assert np.max(np.abs(traj.constraint_values)) <= 1e-9
+
+    @pytest.mark.parametrize("variant, q0, v0", [
+        # lda_linear (m = 1): a NaN velocity passed the constraint test, as NaN > tol is false
+        ("lda_linear", (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)),
+        # friction (m = 0) has no constraint test at all
+        ("friction", (math.inf, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ])
+    def test_non_finite_initial_state_rejected(self, variant, q0, v0):
+        spec = build_sleigh_spec(variant, SleighParams())
+        with pytest.raises(InitialStateError, match="non-finite"):
+            integrate_second_order(spec, q0, v0, IntegratorConfig(dt=0.01, t_end=0.1))
 
     def test_initial_violation_rejected(self):
         spec = make_system(2, (1.0, 1.0), constraints=("v2 - 1",))
@@ -225,6 +236,13 @@ class TestHamiltonianFlow:
         with pytest.raises(InitialStateError):
             integrate_hamiltonian(spec, z0, None, IntegratorConfig())
 
+    def test_non_finite_initial_row_rejected(self):
+        # pi_1 = NaN: the row was recorded, with a surface residual that read 0.0
+        spec = make_system(1, (1.0,))
+        with pytest.raises(InitialStateError, match="non-finite"):
+            integrate_hamiltonian(spec, [0.0, 0.0, 1.0, math.nan, 1.0, 0.0], None,
+                                  IntegratorConfig(dt=0.01, t_end=0.1))
+
     @pytest.mark.parametrize("length", [5, 7])
     def test_row_of_wrong_length_rejected(self, length):
         # n = 1 takes rows of 4n + 2 = 6 entries
@@ -358,3 +376,136 @@ class TestDegenerateGram:
         assert traj.termination.t == 0.999 == traj.times[-1]
         assert _column_digest(traj.gram_min_eig) == (
             "e1cf408abc6eda523f8b6d2cfdc7e29e13190cef27041aa21067bd8b241674df")
+
+
+def _through_the_driver(spec):
+    """spec with a run loop that returns at once: every step of its RK4 runs goes through
+    the driver's ``_advance`` (the instance attribute overrides the cached property)."""
+    spec.kernel.rk4_run = lambda t0, dt, i, n_steps, a1, *rest: (i, a1, None, None)
+    return spec
+
+
+def _fields(traj):
+    """Every field of a Trajectory, the arrays as bytes (NaN and signed zeros kept)."""
+    return [traj.termination] + [np.ascontiguousarray(getattr(traj, name)).tobytes()
+                                 for name in ("times", "q", "v", "constraint_values",
+                                              "multipliers", "gram_min_eig")]
+
+
+def _sleigh(variant):
+    params = SleighParams()
+    return lambda: build_sleigh_spec(variant, params), initial_state(params)
+
+
+def _degenerate_gram():
+    return make_system(2, (1, 1), constraints=("v1", "v1 + (1 - t)*v2"))
+
+
+def _blinded(until):
+    """A guard reading 0.5 - t, NaN for 0.2 < t < until."""
+    return lambda t, y: math.nan if 0.2 < t < until else 0.5 - t
+
+
+_ADVANCE = integrate._advance
+_WHEEL_START = wheel_state(0.4, 1.1, 0.7)
+_NONLINEAR_GUARDS = SCENARIOS["lda_nonlinear"].guards(v0=initial_state(SleighParams())[1])
+
+# (system factory, (q0, v0), config, guards, t0)
+_RUNS = {
+    "completed m = 1": (*_sleigh("lda_linear"), dict(dt=0.01, t_end=1.0), (), 0.0),
+    "completed m = 2": (wheel_system, _WHEEL_START, dict(dt=0.01, t_end=0.5), (), 0.0),
+    "drift event": (*_sleigh("lda_linear"), dict(dt=0.05, t_end=2.0, drift_tolerance=1e-15),
+                    (), 0.0),
+    "yd1_sign event": (*_sleigh("lda_nonlinear"), dict(dt=0.01, t_end=2.0, projection=True),
+                       _NONLINEAR_GUARDS, 0.0),
+    "degenerate Gram event": (_degenerate_gram, ((0.0, 0.0), (0.0, 0.0)),
+                              dict(dt=1e-3, t_end=0.99998), (), 0.0),
+    "degenerate Gram error": (_degenerate_gram, ((0.0, 0.0), (0.0, 0.0)),
+                              dict(dt=1e-3, t_end=2.0), (), 0.0),
+    "non-finite state": (lambda: make_system(2, (1.0, 1.0), forces=(NAN_FORCE, "0"),
+                                             constraints=("v2 - 1",)),
+                         ((1.0, 0.0), (0.0, 1.0)), dict(dt=0.01, t_end=0.1), (), 0.0),
+    "projection dt 0.05": (*_sleigh("lda_linear"), dict(dt=0.05, t_end=2.0, projection=True),
+                           (), 0.0),
+    "projection dt 0.002": (*_sleigh("lda_linear"),
+                            dict(dt=0.002, t_end=0.5, projection=True), (), 0.0),
+    "t0 = 0.7": (wheel_system, _WHEEL_START, dict(dt=0.01, t_end=0.5), (), 0.7),
+    # a NaN reading disarms a guard until it reads > 0 again: this one crosses at t = 0.5,
+    # rearmed by the samples from t = 0.3 on, and the next one crosses unseen
+    "rearmed guard event": (*_sleigh("lda_linear"), dict(dt=0.01, t_end=1.0),
+                            (("window", _blinded(0.3)),), 0.0),
+    "blinded guard completed": (*_sleigh("lda_linear"), dict(dt=0.01, t_end=1.0),
+                                (("window", _blinded(0.55)),), 0.0),
+}
+
+
+class TestRunLoop:
+    """The generated RK4 run loop (``kernel.rk4_run``) records what the driver records,
+    bit for bit, and ends the run as it does."""
+
+    @staticmethod
+    def run(case, through_the_driver=False):
+        system, (q0, v0), cfg, guards, t0 = _RUNS[case]
+        spec = system()
+        if through_the_driver:
+            _through_the_driver(spec)
+        return integrate_second_order(spec, q0, v0, IntegratorConfig(method="rk4", **cfg),
+                                      guards=guards, t0=t0)
+
+    @pytest.mark.parametrize("case", list(_RUNS))
+    def test_equals_the_driver_bit_for_bit(self, case):
+        loop, driver = self.run(case), self.run(case, through_the_driver=True)
+        assert _fields(loop) == _fields(driver)
+        kind = loop.termination.kind
+        assert kind == ("event" if "event" in case else "error" if "error" in case
+                        or "non-finite" in case else "completed")
+
+    @staticmethod
+    def counted_run(monkeypatch, case, through_the_driver):
+        """(accel calls, diag calls, steps handed to the driver's ``_advance``, fields)."""
+        system, (q0, v0), cfg, guards, t0 = _RUNS[case]
+        spec = system()
+        calls = {"accel": 0, "diag": 0, "advance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        kernel = spec.kernel  # the loop, built on the first run, binds the counted ones
+        kernel.accel, kernel.diag = counted("accel", kernel.accel), counted("diag", kernel.diag)
+        monkeypatch.setattr(integrate, "_advance", counted("advance", _ADVANCE))
+        if through_the_driver:
+            _through_the_driver(spec)
+        traj = integrate_second_order(spec, q0, v0, IntegratorConfig(method="rk4", **cfg),
+                                      guards=guards, t0=t0)
+        return calls, _fields(traj)
+
+    @pytest.mark.parametrize("case, hand_offs", [
+        ("completed m = 1", 0), ("projection dt 0.05", 0),  # every state projected inline
+        ("drift event", 1), ("yd1_sign event", 1), ("degenerate Gram event", 1),
+    ])
+    def test_a_hand_off_evaluates_its_step_once(self, monkeypatch, case, hand_offs):
+        # the loop returns the row and the diag it made, so the driver takes the step from
+        # there: accel and diag run exactly as often as where the driver takes every step
+        (loop, fields), (driver, driver_fields) = (
+            self.counted_run(monkeypatch, case, through) for through in (False, True))
+        assert loop.pop("advance") == hand_offs
+        assert driver.pop("advance") == len(np.frombuffer(fields[1])) - 1
+        assert loop == driver and fields == driver_fields
+
+    def test_a_failed_projection_evaluates_its_step_once(self, monkeypatch):
+        project = engine.project_initial_state
+
+        def failing(spec, q, v, t, **kwargs):
+            if t >= 0.2:
+                raise NoConvergence("no projection past t = 0.2")
+            return project(spec, q, v, t, **kwargs)
+        monkeypatch.setattr(engine, "project_initial_state", failing)
+        (loop, fields), (driver, driver_fields) = (
+            self.counted_run(monkeypatch, "projection dt 0.05", through) for through in
+            (False, True))
+        assert fields[0] == Termination("error", "NoConvergence: no projection past t = 0.2",
+                                        0.15000000000000002)
+        assert (loop.pop("advance"), driver.pop("advance")) == (1, 4)
+        assert loop == driver and fields == driver_fields
