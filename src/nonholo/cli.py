@@ -213,14 +213,14 @@ class Run:
     def second_order_run(self) -> integrate.Trajectory:
         """Second-order run from (q0, v0), guarded as the scenario says for that start."""
         return integrate.integrate_second_order(self.spec, self.q0, self.v0, self.cfg,
-                                                guards=self.scenario.guards(v0=self.v0))
+                                                guards=self.scenario.guards(self.v0))
 
     def hamiltonian_run(self) -> integrate.ExtendedTrajectory:
         """Extended-phase-space run from the on-surface lift of (q0, v0)."""
         zeros = [0.0] * self.spec.n
         y0 = ExtendedPhasePoint(self.q0, zeros, self.v0, zeros, self.e0, 0.0)
         return integrate.integrate_hamiltonian(self.spec, y0, self.mu_e, self.cfg,
-                                               guards=self.scenario.guards(True, self.v0))
+                                               guards=self.scenario.guards(self.v0))
 
 
 def load_run(config_path: str) -> Run:
@@ -416,7 +416,7 @@ def cmd_sleigh(args) -> int:
     except (ValueError, NonholoError) as exc:
         raise ConfigError(str(exc), "sleigh") from exc
     q0, v0 = scenario.initial(params)
-    traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards(v0=v0))
+    traj = integrate.integrate_second_order(spec, q0, v0, cfg, guards=scenario.guards(v0))
     if traj.termination.kind == "error":
         log.error("integration failed: %s", traj.termination.name)
         return 3

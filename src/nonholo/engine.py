@@ -327,7 +327,7 @@ def project_initial_state(spec: SystemSpec, q0, v0, t: float = 0.0, tol: float =
     cons = spec.constraints.exprs
     for _ in range(max_iter):
         d = [c._fn(q, v, t) for c in cons]
-        if max(abs(x) for x in d) <= tol:
+        if all(abs(x) <= tol for x in d):  # each value: max() drops a NaN that is not first
             return tuple(v)
         jac = np.array([_expr.grad_raw(c, q, v, t)[1] for c in cons], dtype=float)
         jjt = jac @ jac.T
@@ -335,5 +335,5 @@ def project_initial_state(spec: SystemSpec, q0, v0, t: float = 0.0, tol: float =
             step = jac.T @ np.linalg.solve(jjt, np.array(d))
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("degenerate constraint Jacobian during projection") from exc
-        v = [v[i] - step[i] for i in range(len(v))]
+        v = [vi - si for vi, si in zip(v, step.tolist())]
     raise NoConvergence(f"initial-state projection did not converge in {max_iter} iterations")

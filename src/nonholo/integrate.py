@@ -13,6 +13,13 @@ kernels).  ``_drive`` gets the step, and event bisection uses the same step.
 Every run accepts a new state through ``_advance``: the finite test, the
 guards' crossing test with bisection, and the record.
 
+A user guard is a pair (name, g(q, v, t)) on the physical state, the signature
+of an ``Expr``'s ``_fn``, so one guard serves both flows.  Only this module
+knows the layouts: ``_row_guards`` turns each into the driver's g(t, row) once
+per run, reading v at offset n of [q, v] and at 2n of [q, p, v, pi, e, pi_e].
+The built-in guards (Gram floor, drift, e = 0) read the row, and the first two
+share the per-sample ``diag``.
+
 A second-order RK4 run with constraints steps in ``spec.kernel.rk4_run``, the
 generated run loop: per step the generated step, the finite test, ``diag``,
 the Gram and drift margins, the user guards, the projection and the record,
@@ -215,6 +222,14 @@ def _advance(step, guards, armed, accept, t_prev, y_prev, t_new, y_new):
     return t_new, y_new, None
 
 
+def _row_guards(guards, n: int, v_at: int):
+    """The driver's (name, g(t, row)) of each user guard (name, g(q, v, t)), q at 0 and v
+    at v_at in the row; each g is bound in its own call, not late in the comprehension."""
+    def on_row(g):
+        return lambda t, y: g(y[:n], y[v_at:v_at + n], t)
+    return [(name, on_row(g)) for name, g in guards]
+
+
 def _grid(cfg: IntegratorConfig):
     """(steps, dt) of a fixed-step run: t_end in equal steps near cfg.dt."""
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
@@ -294,8 +309,11 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
     """Integrate qdd = total acceleration, recording constraint diagnostics.
 
     Initial data must be finite and satisfy the constraints to INITIAL_CONSTRAINT_TOL
-    (use project_initial_state to repair user data first).  Built-in guards:
-    Gram-eigenvalue margin (always) and constraint drift (projection off).
+    (use project_initial_state to repair user data first).  Guards are (name,
+    g(q, v, t)) pairs, checked before the built-in ones: Gram-eigenvalue margin
+    (always) and constraint drift (projection off).  Where ``diag`` raises at the
+    initial state, the run ends in error with that one sample, its D from the
+    initial check and its h and min_eig NaN (not computed).
     """
     n = spec.n
     m = len(spec.constraints.exprs)
@@ -307,10 +325,10 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
         raise InitialStateError("non-finite initial state")
     if m:
         d0 = engine.constraint_values(spec, q0, v0, t0)
-        if max(abs(x) for x in d0) > INITIAL_CONSTRAINT_TOL:
-            raise InitialStateError(
-                f"initial constraint violation {max(abs(x) for x in d0):.3e}"
-            )
+        # each value on its own: max() drops a NaN that is not first
+        violation = [x for x in map(abs, d0) if not x <= INITIAL_CONSTRAINT_TOL]
+        if violation:
+            raise InitialStateError(f"initial constraint violation {max(violation):.3e}")
 
     kernel = spec.kernel
     diag = kernel.diag
@@ -329,13 +347,13 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 
     def record(t, y):
         nonlocal f_recorded
-        times.append(t)
-        rows.append(y)
-        if m:
+        if m:  # diag first: where it raises, nothing of the sample is recorded
             d, h, min_eig, f_recorded = diagnostics(t, y)
             ds.append(d)
             hs.append(h)
             eigs.append(min_eig)
+        times.append(t)
+        rows.append(y)
 
     def project(q, v, t):
         return list(engine.project_initial_state(spec, q, v, t, tol=PROJECTION_TOL))
@@ -372,9 +390,7 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
             return rk4(t, y, dt, accel(y[:n], y[n:], t))
 
     y0 = q0 + v0
-    record(t0, y0)
-
-    run_guards = list(guards)
+    run_guards = _row_guards(guards, n, n)
     if m:
         floor = 10.0 * spec.constraints.eps_reg
 
@@ -430,10 +446,21 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
         except RUN_ERRORS as exc:
             return _failure(exc, t)
 
-    if cfg.method == "rk4" and m:
-        termination = drive_run()
+    try:
+        record(t0, y0)
+    except RUN_ERRORS as exc:
+        # the initial sample, with the initial check's D; h and min_eig not computed
+        times.append(t0)
+        rows.append(y0)
+        ds.append(d0)
+        hs.append([math.nan] * m)
+        eigs.append(math.nan)
+        termination = _failure(exc, t0)
     else:
-        termination = _drive(step, y0, cfg, accept, run_guards, t0)
+        if cfg.method == "rk4" and m:
+            termination = drive_run()
+        else:
+            termination = _drive(step, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)
     # only m >= 2 certifies: the certified samples' eigenvalues, in one call
     deferred = [i for i, x in enumerate(eigs) if x.__class__ is list] if m > 1 else []
@@ -456,7 +483,8 @@ def integrate_second_order(spec: SystemSpec, q0, v0, cfg: IntegratorConfig,
 def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, guards=(),
                           t0: float = 0.0) -> ExtendedTrajectory:
     """Integrate the 4n+2 flow from the flat row y0 = [q, p, v, pi, e, pi_e], finite
-    with e != 0; mu_e is a time function (None means 0)."""
+    with e != 0; mu_e is a time function (None means 0).  Guards are (name, g(q, v, t))
+    pairs, as for ``integrate_second_order``, checked after the e = 0 guard."""
     n = spec.n
     y0 = [float(x) for x in y0]
     if len(y0) != 4 * n + 2:
@@ -478,7 +506,8 @@ def integrate_hamiltonian(spec: SystemSpec, y0, mu_e, cfg: IntegratorConfig, gua
 
     accept(t0, y0)
     e_sign = 1.0 if y0[4 * n] > 0 else -1.0
-    run_guards = [("e_zero_crossing", lambda t, y: e_sign * y[4 * n])] + list(guards)
+    run_guards = [("e_zero_crossing", lambda t, y: e_sign * y[4 * n]),
+                  *_row_guards(guards, n, 2 * n)]
     termination = _drive(step, y0, cfg, accept, run_guards, t0)
     arr = np.array(rows)
     return ExtendedTrajectory(

@@ -89,11 +89,12 @@ The integrators step with generated code too, in four more functions:
   (``Kernel.rk4_run``): the RK4 step above, each stage emitted by the same
   ``_rk4``, followed per step by the new row's finite test, its ``diag``, the
   run's margins (the Gram floor, the drift or the projection's surface test,
-  and the user guards, called as ``g(t, row)``) and the append of the sample
-  to the run's lists.  It returns to ``integrate`` at the first step that the
-  driver must take (``integrate._advance``): a row that is not finite, a
-  margin that is not > 0.0, or an error in ``accel``, ``diag``, a guard or
-  the projection, which ``integrate`` passes in as ``project(q, v, t)``.
+  and the user guards, called as ``g(q, v, t)`` with the tuples that ``diag``
+  gets) and the append of the sample to the run's lists.  It returns to
+  ``integrate`` at the first step that the driver must take
+  (``integrate._advance``): a row that is not finite, a margin that is not
+  > 0.0, or an error in ``accel``, ``diag``, a guard or the projection, which
+  ``integrate`` passes in as ``project(q, v, t)``.
 
 A step unpacks the row into locals and unrolls each stage per component,
 with the reference's operations in its order, zero weights included (0.0 *
@@ -685,8 +686,9 @@ def _run_template(n: int) -> str:
         f"    [{', '.join(z)}] = y",
         f"    if not ({finite}):",
         "        return i, a1, y, None",
+        f"    qn, vn = {q}, {v}",
         "    try:",
-        f"        d = diag({q}, {v}, tn)",
+        "        d = diag(qn, vn, tn)",
         "    except RUN_ERRORS:",
         "        return i, a1, y, None",
         "    D, h, min_eig, f = d",
@@ -698,14 +700,14 @@ def _run_template(n: int) -> str:
         "        return i, a1, y, d",
         "    try:",
         "        for g in guards:",
-        "            if not g(tn, y) > 0.0:",
+        "            if not g(qn, vn, tn) > 0.0:",
         "                return i, a1, y, d",
         "    except RUN_ERRORS:",
         "        return i, a1, y, d",
         "    if project is not None and not far <= tol:",
         "        try:",
-        f"            [{', '.join(w)}] = project({q}, {v}, tn)",
-        f"            d = diag({q}, {_tuple(w)}, tn)",
+        f"            [{', '.join(w)}] = project(qn, vn, tn)",
+        f"            d = diag(qn, {_tuple(w)}, tn)",
         "        except RUN_ERRORS:",
         "            return i, a1, y, d",
         f"        y = [{', '.join(z[:n] + w)}]",
@@ -806,11 +808,12 @@ class Kernel:
         returns at the first new row that is not finite, makes ``accel``, ``diag``, a
         guard or ``project`` raise one of ``RUN_ERRORS``, or reads a margin that is not
         > 0.0 (NaN included): min_eig - floor, drift - max |D| (project None) and each
-        user guard ``g(t, row)`` of ``guards``.  It returns that step's index i, the F of
-        the last recorded sample, the new row (None where the step raised) and its
-        ``diag`` (None where it was not made or raised); i == n_steps when every step was
-        recorded.  With ``project`` (``project(q, v, t)`` -> v), a row with max |D| > tol
-        is recorded with its projected v and that state's ``diag``."""
+        user guard ``g(q, v, t)`` of ``guards``, on the tuples ``diag`` gets.  It
+        returns that step's index i, the F of the last recorded sample, the new row (None
+        where the step raised) and its ``diag`` (None where it was not made or raised);
+        i == n_steps when every step was recorded.  With ``project`` (``project(q, v, t)``
+        -> v), a row with max |D| > tol is recorded with its projected v and that state's
+        ``diag``."""
         (run,) = _compile(_run_template(self._n))(self.accel, self.diag)
         return run
 

@@ -155,19 +155,18 @@ def vakonomic_phi_rhs(params: SleighParams, c: float, phi: float) -> float:
             + c * mv0 * math.cos(2.0 * phi)) / (2.0 * params.I * params.m)
 
 
-def nonlinear_sleigh_guards(extended: bool = False, v0=None):
+def nonlinear_sleigh_guards(v0=None, *, extended: bool = False):
     """Guard on yd1 for the nonlinear constraint chart (singular at yd1 = 0), for a
     run that starts at velocity v0.
 
     The guard is sign*yd1 - floor, with sign that of the initial yd1 = v0[0] (+1
     when v0 is None), so it turns negative when yd1 changes sign between two
-    samples, which abs(yd1) - floor cannot see.  yd1 sits at index 3 in the
-    second-order state [q, v] and at index 6 in the extended flat state
-    [q, p, v, pi, e, pi_e].
+    samples, which abs(yd1) - floor cannot see.  It reads the physical state
+    (q, v, t), so one guard serves the second-order and the extended flow;
+    ``extended`` is accepted and ignored.
     """
-    idx = 6 if extended else 3
     sign = 1.0 if v0 is None else math.copysign(1.0, v0[0])
-    return (("yd1_sign", lambda t, y: sign * y[idx] - NONLINEAR_V1_FLOOR),)
+    return (("yd1_sign", lambda q, v, t: sign * v[0] - NONLINEAR_V1_FLOOR),)
 
 
 def damped_oscillator_spec(omega: float, k: float, sign: float = -1) -> SystemSpec:
@@ -200,7 +199,7 @@ def _vakonomic_initial_state(params: SleighParams):
     return (0.0,), (params.omega,)
 
 
-def _no_guards(extended: bool = False, v0=None):
+def _no_guards(v0=None):
     return ()
 
 
@@ -213,8 +212,8 @@ class Scenario:
     the damped oscillator.  ``initial`` gives the default ``(q0, v0)``;
     without it q0 and v0 must come from the config.  The default run length
     ``half_turns*pi/|omega|`` turns the heading by ``half_turns*pi``.
-    ``guards(extended=False, v0=None)`` gives the event guards of a run
-    that starts at velocity v0, in the second-order or the extended layout.
+    ``guards(v0)`` gives the event guards (name, g(q, v, t)) of a run that
+    starts at velocity v0, for the second-order and the extended flow alike.
     ``reference`` is the circular reference and ``closed_form`` the printed
     strong-friction solution.
     """

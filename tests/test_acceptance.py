@@ -113,7 +113,7 @@ def test_criterion_04_hamiltonian_equivalence(capsys):
     for label, kw in cases:
         spec, traj = sleigh_run(dt=2e-3, **kw)
         results.append((label, spec, traj, kw.get("params", PARAMS),
-                        nonlinear_sleigh_guards(extended=True)
+                        nonlinear_sleigh_guards()
                         if label == "lda_nonlinear" else ()))
     from nonholo.scenarios import damped_oscillator_spec
     osc = damped_oscillator_spec(omega=1.0, k=1.0)

@@ -174,6 +174,19 @@ class TestSimulate:
         rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
         assert rows[0].startswith("t,") and len(rows) > 10
 
+    def test_error_at_the_initial_diagnostics_writes_one_row(self, tmp_path, capsys, caplog):
+        # log(q1) at q1 = -1 raises in the initial diag: the run ends in error there
+        csv = tmp_path / "traj.csv"
+        cfg = base_config(tmp_path, system={"n": 2, "masses": [1, 1], "forces": ["log(q1)", "0"],
+                                            "constraints": ["v2 - 1"]},
+                          initial={"q0": [-1, 0], "v0": [0, 1]},
+                          outputs={"trajectory_csv": str(csv)})
+        assert main(["simulate", cfg]) == 3
+        assert "integration failed: ExprDomainError" in caplog.text
+        assert capsys.readouterr().err == ""  # no "runtime error", no traceback
+        rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 2 and rows[1].startswith("0,-1,0,0,1,0,nan,nan")
+
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_every_scenario_loads(self, name):
         initial = {"q0": [1.0], "v0": [0.0]} if name == "damped_oscillator" else {}
@@ -272,12 +285,14 @@ class TestChartSingularity:
         assert abs(term.t - math.pi / 2) < 1e-3
         # the guard's zero along the run's own step from the last grid sample, to the last
         # bit of the sub-step, lies within EVENT_TIME_TOL of the event
-        ((_, guard),) = run.scenario.guards(extended, run.v0)
+        ((_, guard),) = run.scenario.guards(run.v0)
+        v_at = 6 if extended else 3  # v of [q, p, v, pi, e, pi_e] and of [q, v]
         t_prev = traj.times[-2]
         lo, hi = 0.0, 0.01
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if guard(t_prev + mid, _rk4_step(f, t_prev, y_prev, mid)) <= 0.0:
+            y_mid = _rk4_step(f, t_prev, y_prev, mid)
+            if guard(y_mid[:3], y_mid[v_at:v_at + 3], t_prev + mid) <= 0.0:
                 hi = mid
             else:
                 lo = mid

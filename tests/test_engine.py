@@ -136,6 +136,19 @@ class TestProjection:
         assert v[0] == pytest.approx(3.0, abs=1e-14)
         assert v[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_constraint_value_does_not_converge(self):
+        # D = (0.0, NaN): a max over |D| drops a NaN that is not first
+        nan = "exp(700)*exp(700)*q1 - exp(700)*exp(700)*q1"
+        spec = make_system(2, (1.0, 1.0), constraints=("v2 - 1", f"v1 + {nan}"))
+        with pytest.raises(NoConvergence):
+            project_initial_state(spec, (1.0, 0.0), (0.0, 1.0))
+
+    def test_projection_returns_python_floats(self):
+        spec = make_system(2, (1.0, 1.0), constraints=("v2 - 1",))
+        for v0 in ((3.0, 1.0), (3.0, 5.0)):  # on the surface, and after a Newton step
+            v = project_initial_state(spec, (0.0, 0.0), v0)
+            assert [type(x) for x in v] == [float, float]
+
     def test_infeasible_constraint_fails(self):
         spec = make_system(1, (1.0,), constraints=("v1^2 + 1",))
         with pytest.raises(NoConvergence):

@@ -142,7 +142,7 @@ def _offsurface_start(name: str):
             ExtendedPhasePoint(q=(0.0, 0.0, th), p=(0.02, -0.03, 0.01),
                                v=(1.1 * np.cos(th), 1.1 * np.sin(th), 0.7),
                                pi=(-0.04, 0.02, 0.03), e=0.8, pi_e=-0.01),
-            nonlinear_sleigh_guards(extended=True))
+            nonlinear_sleigh_guards())
 
 
 def offsurface_digest(name: str) -> str:

@@ -16,6 +16,7 @@ from nonholo.engine import make_system
 from nonholo.errors import InitialStateError, NoConvergence
 from nonholo.hamiltonian import ExtendedPhasePoint, hamiltonian_value
 from nonholo.integrate import (
+    EVENT_TIME_TOL,
     PROJECTION_TOL,
     IntegratorConfig,
     Termination,
@@ -106,6 +107,32 @@ class TestSecondOrder:
         with pytest.raises(InitialStateError):
             integrate_second_order(spec, (0.0, 0.0), (1.0, 0.5), cfg)
 
+    def test_nan_initial_constraint_value_rejected(self):
+        # D = (0.0, NaN): a max over |D| drops a NaN that is not first
+        spec = make_system(2, (1.0, 1.0), constraints=("v2 - 1", f"v1 + {NAN_FORCE}"))
+        with pytest.raises(InitialStateError, match="nan"):
+            integrate_second_order(spec, (1.0, 0.0), (0.0, 1.0),
+                                   IntegratorConfig(dt=0.01, t_end=0.1))
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("system, q0, cause", [
+        (lambda: make_system(2, (1.0, 1.0), forces=("log(q1)", "0"), constraints=("v2 - 1",)),
+         (-1.0, 0.0), "ExprDomainError: log"),
+        # the Gram matrix q1^2 is 0 at q1 = 0
+        (lambda: make_system(2, (1.0, 1.0), constraints=("q1*v1",)), (0.0, 0.0), "regularity"),
+    ], ids=["log domain", "zero Gram"])
+    def test_diag_error_at_the_initial_state_ends_in_error(self, method, system, q0, cause):
+        # the initial sample is recorded with the initial check's D; h and min_eig are NaN
+        traj = integrate_second_order(system(), q0, (0.0, 1.0),
+                                      IntegratorConfig(method=method, dt=0.01, t_end=0.1))
+        assert traj.termination.kind == "error" and traj.termination.t == 0.0
+        assert traj.termination.name.startswith(cause)
+        assert traj.times.tolist() == [0.0]
+        assert traj.q.tolist() == [list(q0)] and traj.v.tolist() == [[0.0, 1.0]]
+        assert traj.constraint_values.tolist() == [[0.0]]
+        assert np.isnan(traj.multipliers).all() and traj.multipliers.shape == (1, 1)
+        assert np.isnan(traj.gram_min_eig).all() and traj.gram_min_eig.shape == (1,)
+
     def test_drift_guard_fires_at_tight_tolerance(self):
         _, traj = sleigh_run(dt=0.05, t_end=2 * math.pi, drift_tolerance=1e-15)
         assert traj.termination.kind == "event"
@@ -146,7 +173,7 @@ class TestSecondOrder:
         # free fall from rest under a = -1: q(t) = 1 - t^2/2 crosses 0.5 at t = 1
         spec = make_system(1, (1.0,), forces=("0 - 1",))
         cfg = IntegratorConfig(method="rk4", dt=0.07, t_end=3.0)
-        guard = ("halfway", lambda t, y: y[0] - 0.5)
+        guard = ("halfway", lambda q, v, t: q[0] - 0.5)
         traj = integrate_second_order(spec, (1.0,), (0.0,), cfg, guards=(guard,))
         assert traj.termination.kind == "event"
         assert traj.termination.name == "halfway"
@@ -157,7 +184,7 @@ class TestSecondOrder:
         # x(t) = cos t crosses 0 at pi/2; bisecting with RK4 sub-steps lands 2e-8 off
         cfg = IntegratorConfig(method="rkf45", dt=0.1, t_end=3.0, atol=1e-8, rtol=1e-8,
                                dt_max=0.5)
-        guard = ("zero", lambda t, y: y[0])
+        guard = ("zero", lambda q, v, t: q[0])
         traj = integrate_second_order(oscillator(), (1.0,), (0.0,), cfg, guards=(guard,))
         assert traj.termination.kind == "event"
         assert abs(traj.termination.t - math.pi / 2) <= cfg.atol
@@ -177,6 +204,44 @@ class TestSecondOrder:
         spec, traj = sleigh_run(dt=0.01, t_end=0.3)
         assert traj.multipliers.shape == (len(traj.times), 1)
         assert traj.gram_min_eig.min() > 0
+
+
+class TestUserGuards:
+    """A user guard (name, g(q, v, t)) reads the physical state, so one guard serves the
+    second-order flow and the extended one alike."""
+
+    # free fall from rest under a = -1: q1 = 1 - t^2/2 crosses 0.5 at t = 1 and
+    # v1 = -t crosses -0.5 at t = 0.5
+    HALFWAY = ("halfway", lambda q, v, t: q[0] - 0.5)
+    FAST = ("fast", lambda q, v, t: v[0] + 0.5)
+
+    @staticmethod
+    def terminations(guards, constraints):
+        """(second-order, on-surface extended) terminations of one guarded free fall; with
+        a constraint the second-order run steps in the generated run loop."""
+        spec = make_system(2, (1.0, 1.0), forces=("0 - 1", "0"), constraints=constraints)
+        cfg = IntegratorConfig(method="rk4", dt=0.07, t_end=3.0)
+        z0 = ExtendedPhasePoint(q=(1.0, 0.0), p=(0.0, 0.0), v=(0.0, 0.0), pi=(0.0, 0.0),
+                                e=1.0, pi_e=0.0)
+        return (integrate_second_order(spec, (1.0, 0.0), (0.0, 0.0), cfg,
+                                       guards=guards).termination,
+                integrate_hamiltonian(spec, z0, None, cfg, guards=guards).termination)
+
+    @pytest.mark.parametrize("constraints", [(), ("v2",)], ids=["m = 0", "m = 1"])
+    @pytest.mark.parametrize("guard, t_event", [(HALFWAY, 1.0), (FAST, 0.5)],
+                             ids=["halfway", "fast"])
+    def test_one_guard_ends_both_flows_at_one_time(self, guard, t_event, constraints):
+        second, extended = self.terminations((guard,), constraints)
+        assert (second.kind, second.name) == (extended.kind, extended.name) == ("event", guard[0])
+        assert abs(second.t - extended.t) <= EVENT_TIME_TOL
+        assert second.t == pytest.approx(t_event, abs=1e-6)
+
+    @pytest.mark.parametrize("constraints", [(), ("v2",)], ids=["m = 0", "m = 1"])
+    def test_the_event_is_named_after_the_guard_that_crossed(self, constraints):
+        # the second guard crosses first: each guard reads its own g
+        for term in self.terminations((self.HALFWAY, self.FAST), constraints):
+            assert (term.kind, term.name) == ("event", "fast")
+            assert term.t == pytest.approx(0.5, abs=1e-6)
 
 
 class TestHamiltonianFlow:
@@ -403,7 +468,7 @@ def _degenerate_gram():
 
 def _blinded(until):
     """A guard reading 0.5 - t, NaN for 0.2 < t < until."""
-    return lambda t, y: math.nan if 0.2 < t < until else 0.5 - t
+    return lambda q, v, t: math.nan if 0.2 < t < until else 0.5 - t
 
 
 _ADVANCE = integrate._advance

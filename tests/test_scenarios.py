@@ -116,21 +116,17 @@ class TestConstrainedVariants:
         assert non.termination.kind == "completed"
         assert np.max(np.abs(lin.q - non.q)) <= 1e-7
 
-    def test_nonlinear_guard_indexes_both_layouts(self):
+    def test_nonlinear_guard_reads_the_physical_state(self):
         from nonholo.scenarios import nonlinear_sleigh_guards
-        (_, g2), = nonlinear_sleigh_guards()
-        # second-order state [q1,q2,q3, v1,v2,v3]: v1 at index 3
-        assert g2(0.0, [0, 0, 0, 0.5, 0, 0]) > 0
-        assert g2(0.0, [0, 0, 0, 0.0, 9, 9]) < 0
-        (_, ge), = nonlinear_sleigh_guards(extended=True)
-        # extended state [q(3), p(3), v(3), pi(3), e, pi_e]: v1 at index 6
-        assert ge(0.0, [0] * 6 + [0.5] + [0] * 7) > 0
-        assert ge(0.0, [0] * 6 + [0.0] + [9] * 7) < 0
+        (_, g), = nonlinear_sleigh_guards()
+        # g(q, v, t) reads yd1 = v[0], whatever the flow's layout
+        assert g((0, 0, 0), (0.5, 0, 0), 0.0) > 0
+        assert g((9, 9, 9), (0.0, 9, 9), 0.0) < 0
         # signed by the initial yd1: a sign change reads negative on either side
-        (_, g2), = nonlinear_sleigh_guards(v0=(-0.5, 0.0, 1.0))
-        assert g2(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > g2(0.0, [0, 0, 0, 0.5, 0, 0])
-        (_, gs), = SCENARIOS["lda_nonlinear"].guards(v0=(-0.5, 0.0, 1.0))
-        assert gs(0.0, [0, 0, 0, -0.5, 0, 0]) > 0 > gs(0.0, [0, 0, 0, 0.5, 0, 0])
+        (_, g), = nonlinear_sleigh_guards(v0=(-0.5, 0.0, 1.0))
+        assert g((0, 0, 0), (-0.5, 0, 0), 0.0) > 0 > g((0, 0, 0), (0.5, 0, 0), 0.0)
+        (_, gs), = SCENARIOS["lda_nonlinear"].guards((-0.5, 0.0, 1.0))
+        assert gs((0, 0, 0), (-0.5, 0, 0), 0.0) > 0 > gs((0, 0, 0), (0.5, 0, 0), 0.0)
         assert SCENARIOS["lda_nonlinear"].guards is nonlinear_sleigh_guards
 
     def test_heading_rate_is_constant(self):
@@ -210,9 +206,8 @@ class TestCatalog:
 
     def test_guards_only_on_nonlinear_chart(self):
         for name in SCENARIO_NAMES:
-            for extended in (False, True):
-                guards = SCENARIOS[name].guards(extended)
-                assert [g[0] for g in guards] == (["yd1_sign"] if name == "lda_nonlinear" else [])
+            guards = SCENARIOS[name].guards(None)
+            assert [g[0] for g in guards] == (["yd1_sign"] if name == "lda_nonlinear" else [])
 
     def test_circular_reference_only_for_lda_and_friction(self):
         with_reference = [name for name in SCENARIO_NAMES if SCENARIOS[name].reference]
