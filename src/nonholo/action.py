@@ -12,6 +12,16 @@ Both evaluate over the whole path, F(q, v, t) once per sample.  The
 stationarity check takes the gradient of the discrete first-order action in
 closed form: the discrete Hamilton equations, read off the flow of H
 (``hamiltonian.hamiltonian_vector_field``) at each sample.
+
+The gauge check evaluates the first-order action on the path and on three
+gauge-transformed copies, on arrays, building no transformed path.  The
+transformation moves only p, e and mu_e, so what does not depend on them is
+computed once per path: F, qd, vd, the trapezoid weights, pi.vd, pi^2 and pi.F
+of the integrand (``_integrand_at``), and v^2, 1 - v.qd/v^2, pi^2 and 2 e^2 v^2
+of the shift (``hamiltonian.gauge_shift``, which ``gauge_transform`` applies
+too).  Each amplitude then costs the shift and the terms in p, e and mu_e, with
+every operation of the transformed path's action in its order, so the deltas
+are those of ``first_order_action`` on ``gauge_transform``'s path, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,31 +55,42 @@ def universal_action(spec: SystemSpec, path: ConfigPath, e_profile: np.ndarray) 
         raise ValueError("e_profile must be sampled on the path grid")
     if np.any(e_profile <= 0):
         raise ValueError("e_profile must be positive")
-    if len(path.times) < 5:
-        raise ValueError("need at least 5 samples")
+    weights = _weights(path)
     qd = diff1(path.q, path.dt)
     r = diff2(path.q, path.dt) - _forces(spec, path.q, qd, path.times)
     density = 0.5 * e_profile * _rowdot(r, r)
-    return float(trapezoid_weights(len(path.times), path.dt) @ density)
+    return float(weights @ density)
 
 
-def _integrand_at(path: PhasePath, forces: np.ndarray) -> np.ndarray:
-    """First-order action integrand at every sample, given F there."""
-    p, v, pi, e, pi_e = path.p, path.v, path.pi, path.e, path.pi_e
-    if np.any(e == 0.0):
-        raise ExprDomainError("auxiliary variable e is zero along the path")
-    qd = diff1(path.q, path.dt)
-    vd = diff1(v, path.dt)
-    ed = diff1(e, path.dt)
-    return (_rowdot(p, qd) + _rowdot(pi, vd) + pi_e * ed - _rowdot(pi, pi) / (2.0 * e)
-            - _rowdot(pi, forces) - _rowdot(v, p) - path.mu_e * pi_e)
+def _integrand_at(path: PhasePath, forces: np.ndarray, qd: np.ndarray):
+    """The first-order action integrand at every sample, given F and qd = diff1(q)
+    there, as a function ``integrand(p, e, mu_e)`` of the three blocks that the gauge
+    transformation shifts.  pi.vd, pi^2 and pi.F are computed here, once per path."""
+    v, pi, pi_e, dt = path.v, path.pi, path.pi_e, path.dt
+    pi_vd = _rowdot(pi, diff1(v, dt))
+    pi2 = _rowdot(pi, pi)
+    pi_f = _rowdot(pi, forces)
+
+    def integrand(p: np.ndarray, e: np.ndarray, mu_e: np.ndarray) -> np.ndarray:
+        if np.any(e == 0.0):
+            raise ExprDomainError("auxiliary variable e is zero along the path")
+        return (_rowdot(p, qd) + pi_vd + pi_e * diff1(e, dt) - pi2 / (2.0 * e)
+                - pi_f - _rowdot(v, p) - mu_e * pi_e)
+    return integrand
+
+
+def _weights(path: ConfigPath | PhasePath) -> np.ndarray:
+    """Trapezoid weights of the path grid; the functionals need at least 5 samples."""
+    if len(path.times) < 5:
+        raise ValueError("need at least 5 samples")
+    return trapezoid_weights(len(path.times), path.dt)
 
 
 def _first_order_sum(path: PhasePath, forces: np.ndarray) -> float:
     """The first-order action, given F at every sample."""
-    if len(path.times) < 5:
-        raise ValueError("need at least 5 samples")
-    return float(trapezoid_weights(len(path.times), path.dt) @ _integrand_at(path, forces))
+    weights = _weights(path)
+    integrand = _integrand_at(path, forces, diff1(path.q, path.dt))
+    return float(weights @ integrand(path.p, path.e, path.mu_e))
 
 
 def first_order_action(spec: SystemSpec, path: PhasePath) -> float:
@@ -139,16 +160,22 @@ def gauge_invariance_check(spec: SystemSpec, path: PhasePath, alpha_profile: np.
     """Measure dS = S_H(transformed) - S_H for amplitudes a*{1, 1/2, 1/4} and
     fit dS = A*a + B*a^2; first-order invariance means |A| at the
     discretization floor C*dt^2.  The transformation leaves q, v and the grid
-    alone, so F is evaluated once for all four actions.
+    alone, so F and the path's other fixed terms are evaluated once for all four
+    actions.
     """
     alpha_profile = np.asarray(alpha_profile, dtype=float)
     forces = _forces(spec, path.q, path.v, path.times)
-    base = _first_order_sum(path, forces)
+    weights = _weights(path)
+    qd = diff1(path.q, path.dt)
+    integrand = _integrand_at(path, forces, qd)
+    p, e, mu_e = path.p, path.e, path.mu_e
+    base = float(weights @ integrand(p, e, mu_e))
+    shift = hamiltonian.gauge_shift(path, alpha_profile, qd)
     amplitudes = [alpha_amplitude, alpha_amplitude / 2.0, alpha_amplitude / 4.0]
     deltas = []
     for a in amplitudes:
-        transformed = hamiltonian.gauge_transform(path, a * alpha_profile)
-        deltas.append(_first_order_sum(transformed, forces) - base)
+        de, dp, dmu = shift(a)
+        deltas.append(float(weights @ integrand(p + dp, e + de, mu_e + dmu)) - base)
     design = np.column_stack([amplitudes, np.square(amplitudes)])
     coeffs, *_ = np.linalg.lstsq(design, np.asarray(deltas), rcond=None)
     A, B = float(coeffs[0]), float(coeffs[1])

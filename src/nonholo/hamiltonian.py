@@ -132,22 +132,36 @@ def poisson_bracket(f, g, y, n: int) -> float:
     return acc
 
 
-def gauge_transform(path: PhasePath, alpha: np.ndarray) -> PhasePath:
-    """Apply the local symmetry with gauge parameter alpha(t) on the path grid:
-    shift e, p and mu_e; q, v, pi, pi_e unchanged.
+def gauge_shift(path: PhasePath, alpha: np.ndarray, qd: np.ndarray):
+    """The local symmetry's shifts along path as a function of the amplitude:
+    ``shift(a) -> (de, dp, dmu_e)`` for the gauge parameter a*alpha(t), with
+    qd = diff1(q) given.  q, v, pi and pi_e are unchanged.
 
     de = alpha*(1 - v.qd/v^2), dp = alpha * pi^2/(2 e^2 v^2) * v,
     dmu_e = d(de)/dt with the same stencil used for time derivatives elsewhere.
+    The factors that do not depend on alpha (v^2, 1 - v.qd/v^2, pi^2 and
+    2 e^2 v^2) are computed here, once per path.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != path.times.shape:
         raise ValueError("alpha must be sampled on the path grid")
-    v2 = np.sum(path.v * path.v, axis=1)
+    v, dt = path.v, path.dt
+    v2 = np.sum(v * v, axis=1)
     if np.any(v2 < VELOCITY_NORM_FLOOR):
         raise VanishingVelocity("velocity norm below floor along the path")
-    qd = diff1(path.q, path.dt)
+    slip = 1.0 - np.sum(v * qd, axis=1) / v2
     pi2 = np.sum(path.pi * path.pi, axis=1)
-    de = alpha * (1.0 - np.sum(path.v * qd, axis=1) / v2)
-    dp = (alpha * pi2 / (2.0 * path.e ** 2 * v2))[:, None] * path.v
-    dmu = diff1(de, path.dt)
+    den = 2.0 * path.e ** 2 * v2
+
+    def shift(a: float) -> tuple:
+        scaled = a * alpha
+        de = scaled * slip
+        return de, (scaled * pi2 / den)[:, None] * v, diff1(de, dt)
+    return shift
+
+
+def gauge_transform(path: PhasePath, alpha: np.ndarray) -> PhasePath:
+    """Apply the local symmetry with gauge parameter alpha(t) on the path grid:
+    shift e, p and mu_e by ``gauge_shift``; q, v, pi, pi_e unchanged."""
+    de, dp, dmu = gauge_shift(path, alpha, diff1(path.q, path.dt))(1.0)
     return path.replace(e=path.e + de, p=path.p + dp, mu_e=path.mu_e + dmu)

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import potential_t_system, sleigh_run, wheel_system
+from conftest import potential_t_system, sleigh_run, wheel_state, wheel_system
 from nonholo import action, hamiltonian
 from nonholo.action import (
     first_order_action,
@@ -16,10 +16,12 @@ from nonholo.action import (
     universal_action,
 )
 from nonholo.engine import make_system
+from nonholo.errors import ExprDomainError, VanishingVelocity
+from nonholo.integrate import IntegratorConfig, integrate_second_order
 from nonholo.paths import (
     ConfigPath, PhasePath, bump, diff1, diff1_adjoint, diff1_at, lift_on_shell,
 )
-from nonholo.scenarios import SleighParams, build_sleigh_spec
+from nonholo.scenarios import SleighParams, build_sleigh_spec, initial_state
 
 
 FORCE_SETS = {"mild": ("-q1*v2", "sin(q1) - v1"),
@@ -311,6 +313,63 @@ class TestGaugeInvariance:
         off = path.replace(pi=path.pi + 0.1 * bump(path.times)[:, None])
         gauge_invariance_check(spec, off, bump(path.times), 0.1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("system", ["friction", "lda_linear", "wheel"])
+    def test_deltas_are_the_transformed_actions_bit_for_bit(self, system):
+        # m = 0, 1 and 2 on a path off the surface (p, pi, pi_e and mu_e nonzero, e not
+        # constant): the array evaluation gives first_order_action on gauge_transform's
+        # path, to the bit
+        if system == "wheel":
+            spec, (q0, v0) = wheel_system(), wheel_state(0.4, 1.1, 0.7)
+        else:
+            params = SleighParams(k=20.0)
+            spec, (q0, v0) = build_sleigh_spec(system, params), initial_state(params)
+        traj = integrate_second_order(spec, q0, v0,
+                                      IntegratorConfig(method="rk4", dt=0.01, t_end=0.3))
+        path = lift_on_shell(traj, 1.5)
+        times, n = path.times, path.n
+        profile = bump(times)
+        ramp = profile[:, None] * np.linspace(0.5, 1.5, n)
+        off = path.replace(p=path.p + 0.03 * ramp, pi=path.pi - 0.05 * ramp,
+                           e=path.e + 0.2 * np.sin(times), pi_e=0.04 * np.cos(times),
+                           mu_e=np.sin(3.0 * times))
+        rep = gauge_invariance_check(spec, off, profile, 0.02)
+        base = first_order_action(spec, off)
+        expected = [first_order_action(spec, hamiltonian.gauge_transform(off, a * profile))
+                    - base for a in rep.amplitudes]
+        assert rep.amplitudes == [0.02, 0.01, 0.005]
+        assert [d.hex() for d in rep.deltas] == [d.hex() for d in expected]
+        assert all(d != 0.0 for d in rep.deltas)
+
+    def test_vanishing_velocity_raises_as_the_transform_does(self, linear_sleigh_path):
+        spec, path = linear_sleigh_path
+        v = path.v.copy()
+        v[10] = 0.0
+        stopped = path.replace(v=v)
+        message = "^velocity norm below floor along the path$"
+        with pytest.raises(VanishingVelocity, match=message):
+            hamiltonian.gauge_transform(stopped, bump(path.times))
+        with pytest.raises(VanishingVelocity, match=message):
+            gauge_invariance_check(spec, stopped, bump(path.times), 0.1)
+
+    def test_zero_e_raises_on_the_path_and_on_a_transformed_path(self, linear_sleigh_path):
+        message = "^auxiliary variable e is zero along the path$"
+        spec, path = linear_sleigh_path
+        e = path.e.copy()
+        e[3] = 0.0
+        with pytest.raises(ExprDomainError, match=message):
+            gauge_invariance_check(spec, path.replace(e=e), bump(path.times), 0.1)
+        # q constant and v = 1: the shift of e is a*alpha itself, which cancels e at k
+        free = make_system(1, (1.0,))
+        still = constant_phase_path(v=1.0)
+        alpha, k, a = bump(still.times), 40, 0.1
+        e = still.e.copy()
+        e[k] = -(a * alpha[k])
+        still = still.replace(e=e)
+        with pytest.raises(ExprDomainError, match=message):
+            first_order_action(free, hamiltonian.gauge_transform(still, a * alpha))
+        with pytest.raises(ExprDomainError, match=message):
+            gauge_invariance_check(free, still, alpha, a)
 
     def test_report_serializes(self, linear_sleigh_path):
         spec, path = linear_sleigh_path

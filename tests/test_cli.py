@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonholo import action, engine, kernels
+from nonholo import action, cli, engine, integrate, kernels
 from nonholo.cli import Run, load_run, main
 from nonholo.hamiltonian import hamiltonian_vector_field
 from nonholo.integrate import EVENT_TIME_TOL, _rk4_step
@@ -413,6 +413,37 @@ class TestVerify:
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert rec["max_qv_deviation"] == 0.0 and rec["passed"] is True
 
+    def test_equivalence_fails_when_the_extended_run_stops_early(self, tmp_path, capsys):
+        # e = 0.1 - t reaches zero at t = 0.1: the extended run ends in the e = 0 event
+        # after 11 grid samples, the second-order run completes with 101
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, initial={"e0": 0.1, "mu_e": "-1"},
+                          checks=[{"type": "hamiltonian-equivalence"}],
+                          outputs={"report_json": str(report)})
+        assert main(["verify", cfg]) == 1
+        assert "check hamiltonian-equivalence: FAIL" in capsys.readouterr().out
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rec["max_qv_deviation"] == 0.0 and rec["passed"] is False
+        assert rec["compared_samples"] == 11
+        assert rec["extended_termination"] == "event: e_zero_crossing"
+
+    def test_equivalence_record_of_a_complete_run_has_no_sample_count(self, tmp_path):
+        report = tmp_path / "report.jsonl"
+        cfg = base_config(tmp_path, checks=[{"type": "hamiltonian-equivalence"}],
+                          outputs={"report_json": str(report)})
+        assert main(["verify", cfg]) == 0
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert "compared_samples" not in rec and "extended_termination" not in rec
+
+    def test_path_checks_share_one_grid_path(self, tmp_path, monkeypatch):
+        built = []
+        grid_path = cli._grid_path
+        monkeypatch.setattr(cli, "_grid_path", lambda *args: built.append(1) or grid_path(*args))
+        cfg = base_config(tmp_path, checks=[{"type": "action-stationarity"},
+                                            {"type": "gauge-invariance"}])
+        assert main(["verify", cfg]) == 0
+        assert built == [1]
+
     def _rejected_before_the_run(self, tmp_path, capsys, **overrides):
         csv = tmp_path / "traj.csv"
         cfg = base_config(tmp_path, outputs={"trajectory_csv": str(csv)}, **overrides)
@@ -486,6 +517,52 @@ BAD_CONFIGS = {
     "v0_without_q0": ({"initial": {"v0": [2, 0, 1]}}, "initial.q0"),
     "q0_without_v0": ({"initial": {"q0": [0, 0, 0]}}, "initial.v0"),
 }
+
+
+class TestCsvWriters:
+    """One %-format per row writes the bytes of the per-value format(float(x), ".17g")."""
+
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0]
+
+    @staticmethod
+    def _per_value(rows) -> str:
+        return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+
+    @staticmethod
+    def _data(path) -> str:
+        """The rows: what follows the five header lines and the column names."""
+        return "".join(Path(path).read_text().splitlines(keepends=True)[6:])
+
+    def test_rows_of_special_values(self, tmp_path):
+        run = load_run(base_config(tmp_path))
+        row = [*self.SPECIAL, np.float64(-2.5e-300), 7, -(2 ** 60) - 1, True]
+        rows = [row, row[::-1]]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(str(path), run, "second-order", [f"c{i}" for i in range(len(row))], rows)
+        assert self._data(path) == self._per_value(rows)
+
+    def test_both_writers(self, tmp_path):
+        run = load_run(base_config(tmp_path))  # lda_linear: n = 3, m = 1
+        N = len(self.SPECIAL)
+        col = np.array(self.SPECIAL)
+        block = np.column_stack([col, col[::-1], np.roll(col, 2)])
+        traj = integrate.Trajectory(times=np.roll(col, 1), q=block, v=-block,
+                                    constraint_values=col[:, None], multipliers=-col[:, None],
+                                    gram_min_eig=np.roll(col, 3),
+                                    termination=integrate.Termination("completed"))
+        path = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(str(path), run, traj)
+        rows = [[traj.times[k], *traj.q[k], *traj.v[k], *traj.constraint_values[k],
+                 *traj.multipliers[k], traj.gram_min_eig[k]] for k in range(N)]
+        assert self._data(path) == self._per_value(rows)
+        ext = integrate.ExtendedTrajectory(times=col, q=block, p=-block, v=block[::-1],
+                                           pi=np.roll(block, 1), e=col[::-1], pi_e=-col,
+                                           surface_residual=np.roll(col, 4),
+                                           termination=integrate.Termination("completed"))
+        cli.write_extended_csv(str(path), run, ext)
+        rows = [[ext.times[k], *ext.q[k], *ext.v[k], *ext.p[k], *ext.pi[k], ext.e[k],
+                 ext.pi_e[k], ext.surface_residual[k]] for k in range(N)]
+        assert self._data(path) == self._per_value(rows)
 
 
 class TestLoadValidation:
