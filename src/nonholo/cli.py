@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -305,9 +305,7 @@ def _grid_path(run: Run, traj: integrate.Trajectory):
                          run.e0)
 
 
-def run_check(run: Run, chk: dict, traj: integrate.Trajectory, grid) -> dict:
-    """The record of one check on the run's trajectory; ``grid()`` returns the on-shell
-    lift of its uniform-grid samples (``_grid_path``), built once for the run."""
+def run_check(run: Run, chk: dict, traj: integrate.Trajectory) -> dict:
     kind = chk["type"]
     rec = {"check": kind}
     if "tolerance" in chk:  # only the checks that take a tolerance record one
@@ -342,12 +340,12 @@ def run_check(run: Run, chk: dict, traj: integrate.Trajectory, grid) -> dict:
         rec["passed"] = complete and dev <= tol and resid <= 1e-9
         return rec
     if kind == "action-stationarity":
-        path = grid()
+        path = _grid_path(run, traj)
         report = action.stationarity_check(run.spec, path, C=chk["C"])
         rec.update(vars(report))  # its fields, in order
         return rec
     # gauge-invariance: Run admits no kind outside _CHECK_PARAMS
-    path = grid()
+    path = _grid_path(run, traj)
     profile = bump(path.times)
     amp = chk["offshell_amplitude"]
     # perturb off-shell so the transformation is non-trivial
@@ -400,9 +398,8 @@ def cmd_config(args) -> int:
         log.error("integration failed: %s", traj.termination.name)
         return 3
     records, all_passed = [], True
-    grid = cache(partial(_grid_path, run, traj))  # built on the first path check
     for chk in run.checks:
-        rec = run_check(run, chk, traj, grid)
+        rec = run_check(run, chk, traj)
         records.append(rec)
         all_passed = all_passed and rec["passed"]
         print(f"check {rec['check']}: {'PASS' if rec['passed'] else 'FAIL'}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 from . import dual
@@ -202,25 +201,7 @@ class _Parser:
 
 
 def parse_expression(source: str, n: int) -> Expr:
-    """Parse *source* over q1..qn, v1..vn, t into an immutable expression.
-
-    A str source with an int n is parsed once per process (``_parsed``): the
-    ``Expr`` is immutable and its lazily built partials are deterministic, so
-    every caller may share it.  Any other argument is parsed as it is, so what
-    it raises does not depend on whether it hashes.
-    """
-    if type(source) is str and type(n) is int:
-        return _parsed(source, n)
-    return _parse(source, n)
-
-
-@lru_cache(maxsize=512)
-def _parsed(source: str, n: int) -> Expr:
-    """``_parse``, memoised by (source, n); an error is raised again on every call."""
-    return _parse(source, n)
-
-
-def _parse(source: str, n: int) -> Expr:
+    """Parse *source* over q1..qn, v1..vn, t into an immutable expression."""
     if not source or source.isspace():
         raise ExprSyntaxError("empty expression", 0)
     if n < 0:

@@ -13,7 +13,7 @@ Three generated functions serve every float caller of F and of its Jacobians:
 evaluation: its source, with the second partials of every constraint, takes
 0.4-0.8 ms to generate on the sleigh systems and the wheel, a cost that CLI
 ``verify``, which builds a fresh spec per config and stays on the surface,
-would otherwise pay for each new system.
+would otherwise pay.
 
 The generated source runs the generic operations in the generic order.  All
 three functions share one prefix: the constraint values (``diag`` only), then
@@ -68,15 +68,7 @@ by text, into a ``make(...)`` factory over what the source binds.  For these
 three that is every finite constant -- the masses, ``eps_reg`` and the
 literals of the trees, save the integer exponents that are unrolled -- so
 systems that differ only in such numbers (friction k, masses, ``eps_reg``)
-share one ``compile()``.  The source itself, with the values ``make`` takes,
-is generated once per system and process: ``_source`` keeps it in a bounded
-memo (``_SOURCES``) keyed by the spec's exact content (``_content``: n, the
-masses and ``eps_reg``, the trees with every literal by ``repr``, and the
-emitter names), which holds strings and floats but no code, so a fresh spec of
-a system seen before (CLI ``verify`` builds one per config, and an ``lda_*``
-spec does not depend on the config's v0 or omega) generates nothing.  The key
-spells every literal out because the generator branches on literal values (0,
-1, integer exponents, nonzero divisors) and binds the rest by value.
+share one ``compile()``.
 
 The integrators step with generated code too, in four more functions:
 
@@ -133,7 +125,7 @@ import numpy as np
 from . import engine
 from .dual import _POLE_TOL
 from .errors import RUN_ERRORS, ExprDomainError, RegularityError
-from .expr import Const, Unary, Var, partial_exprs, to_canonical
+from .expr import Const, Unary, Var, partial_exprs
 
 _REGULARITY = ('raise RegularityError(f"constraint Gram matrix smallest eigenvalue '
                '{min_eig:.3e} below floor {eps:.3e}")')
@@ -532,43 +524,15 @@ def _text(args: list, functions: dict) -> str:
     return "\n".join(lines + [f"    return {names},"]) + "\n"
 
 
-# _source's memo: the exact content a source depends on -> (text, values), the oldest
-# entry dropped first beyond _SOURCES_SIZE; it holds strings and floats, no code
-_SOURCES: dict = {}
-_SOURCES_SIZE = 128
-
-
-def _content(spec, emitters: dict) -> tuple:
-    """Everything the generated source and its argument values depend on, exactly: n,
-    the masses and eps_reg by ``repr`` (so -0.0, an int and a numpy scalar are told
-    apart), the force and constraint trees by ``expr.to_canonical`` (fully
-    parenthesised, every literal by ``repr``), and the emitter names."""
-    def trees(exprs):
-        return None if exprs is None else tuple(to_canonical(e.root) for e in exprs)
-    return (spec.n, repr(spec.mass), repr(spec.constraints.eps_reg), trees(spec.forces),
-            trees(spec.constraints.exprs), tuple(emitters))
-
-
-def _source(spec, emitters: dict) -> tuple[str, tuple]:
+def _source(spec, emitters: dict) -> tuple[str, list]:
     """(source of ``make``, the values of its arguments): ``make`` returns the functions
-    ``f(q, v, t)`` that ``emitters`` (name -> source lines of the body) generate.
-    Generated once per distinct ``_content`` (``_SOURCES``)."""
-    key = _content(spec, emitters)
-    out = _SOURCES.get(key)
-    if out is None:
-        if len(_SOURCES) >= _SOURCES_SIZE:
-            del _SOURCES[next(iter(_SOURCES))]
-        out = _SOURCES[key] = _generate(spec, emitters)
-    return out
-
-
-def _generate(spec, emitters: dict) -> tuple[str, tuple]:
+    ``f(q, v, t)`` that ``emitters`` (name -> source lines of the body) generate."""
     constants = _Constants(spec)
     unpack = [f"{', '.join(f'{k}{i}' for i in range(spec.n))}, = {k}"
               for k in "qv" if spec.n]
     functions = {f"{name}(q, v, t)": unpack + emit(spec, _Body(constants))
                  for name, emit in emitters.items()}
-    return _text(constants.names, functions), tuple(constants.values)
+    return _text(constants.names, functions), constants.values
 
 
 @lru_cache(maxsize=128)

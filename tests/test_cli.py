@@ -435,15 +435,6 @@ class TestVerify:
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert "compared_samples" not in rec and "extended_termination" not in rec
 
-    def test_path_checks_share_one_grid_path(self, tmp_path, monkeypatch):
-        built = []
-        grid_path = cli._grid_path
-        monkeypatch.setattr(cli, "_grid_path", lambda *args: built.append(1) or grid_path(*args))
-        cfg = base_config(tmp_path, checks=[{"type": "action-stationarity"},
-                                            {"type": "gauge-invariance"}])
-        assert main(["verify", cfg]) == 0
-        assert built == [1]
-
     def _rejected_before_the_run(self, tmp_path, capsys, **overrides):
         csv = tmp_path / "traj.csv"
         cfg = base_config(tmp_path, outputs={"trajectory_csv": str(csv)}, **overrides)

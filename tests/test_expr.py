@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,36 +189,6 @@ class TestGrad:
             checked += 1
 
 
-
-class TestParseMemo:
-    def test_one_expr_per_source_and_dimension(self):
-        assert parse_expression("v1*sin(q3)", 3) is parse_expression("v1*sin(q3)", 3)
-        assert parse_expression("v1*sin(q3)", 4) is not parse_expression("v1*sin(q3)", 3)
-        assert parse_expression("v1*sin(q3)", 4).n == 4
-
-    def test_bad_expression_raises_on_every_call(self):
-        for _ in range(3):
-            with pytest.raises(ExprSyntaxError, match="unknown identifier 'sinh'"):
-                parse_expression("sinh(q1)", 1)
-
-    @pytest.mark.parametrize("source, error, message", [
-        (None, ExprSyntaxError, "empty expression"),
-        (0, ExprSyntaxError, "empty expression"),
-        (5, AttributeError, "'int' object has no attribute 'isspace'"),
-        (["q1"], AttributeError, "'list' object has no attribute 'isspace'"),
-        (b"q1", TypeError, "cannot use a string pattern on a bytes-like object"),
-    ])
-    def test_non_str_source_raises_as_unmemoised(self, source, error, message):
-        # not a key of the memo: an unhashable list raises as before, not as unhashable
-        for _ in range(2):
-            with pytest.raises(error, match=re.escape(message)):
-                parse_expression(source, 1)
-
-    def test_non_int_dimension_is_kept(self):
-        assert type(parse_expression("q1", 1.0).n) is float
-        assert parse_expression("q1", True).n is True
-        assert type(parse_expression("q1", 1).n) is int
-
 class TestSecondPartials:
     def test_hessian_rows(self):
         # f = q1^2*v2 + sin(q2)*t: rows of second partials per occurring variable
@@ -235,7 +204,6 @@ class TestSecondPartials:
         assert rows["t", 0] == ([0.0, pytest.approx(math.cos(q[1]))], [0.0, 0.0], 0.0)
 
     def test_built_on_first_use_only(self):
-        expr_module._parsed.cache_clear()  # a fresh parse, not the memo's shared Expr
         e = parse_expression("v1*sin(q1)", 1)
         assert e._partials is None  # parsing does not pay for them
         assert partial_exprs(e) is partial_exprs(e)
@@ -249,7 +217,6 @@ class TestSecondPartials:
             compiled.append(node)
             return compile_(node)
         monkeypatch.setattr(expr_module, "_compile", counted)
-        expr_module._parsed.cache_clear()  # a fresh parse, not the memo's shared Expr
         e = parse_expression("v2/v1 - tan(q3)", 3)
         assert len(compiled) == 1
         q, v = (0.1, 0.2, 0.3), (1.0, 0.5, 0.2)

@@ -155,15 +155,11 @@ class TestMatchesGeneric:
         # at q = (-1, -1) the v2 partial log(q2) raises a log error and the q1 and v1
         # partials a sqrt error: the partial that partial_exprs puts first decides
         seen = set()
-        root = parse_expression("sqrt(q1)*v1 + log(q2)*v2", 2).root
         for log_first in (True, False):
-            # an Expr of its own, reordered, and its source generated afresh: the memos
-            # key the tree, whose partials come in one order outside this test
-            con = Expr(root, 2)
+            spec = engine.make_system(2, (1.0, 1.0), constraints=("sqrt(q1)*v1 + log(q2)*v2",))
+            (con,) = spec.constraints.exprs
             con._partials = tuple(sorted(partial_exprs(con), reverse=log_first,
                                          key=lambda p: p[:2] == ("v", 2)))
-            spec = SystemSpec(2, (1.0, 1.0), constraints=ConstraintSet((con,)))
-            kernels._SOURCES.clear()
             state = ((-1.0, -1.0), (0.5, 0.5), 0.0)
             _assert_kernel_matches(spec, [state])
             seen.add(_outcome(spec.kernel.accel, *state))
@@ -623,7 +619,6 @@ class TestLifetime:
         assert spec == build_sleigh_spec("lda_linear", SleighParams())
 
     def test_jacobian_built_apart_on_first_use(self, monkeypatch):
-        kernels._SOURCES.clear()  # generate afresh, through the counter
         emitted = []
         emit = kernels._jac
 
@@ -710,41 +705,6 @@ class TestLifetime:
         assert spec.kernel.flow is flow
         first, second = (spec.kernel.extended_step("rk4", mu) for mu in (_mu, math.cos))
         assert first is not second and first.__code__ is second.__code__
-
-    def test_spec_from_a_source_memo_hit_is_freed_with_its_kernel(self, monkeypatch):
-        build_sleigh_spec("lda_linear", SleighParams()).kernel  # the memo holds its source
-        generated = []
-        generate = kernels._generate
-        monkeypatch.setattr(kernels, "_generate", lambda *args: generated.append(args)
-                            or generate(*args))
-        spec = build_sleigh_spec("lda_linear", SleighParams(v0=2.0, omega=0.5))
-        kernel = spec.kernel
-        assert generated == []  # an lda spec does not depend on v0 or omega: a hit
-        refs = [weakref.ref(x) for x in (spec, kernel, kernel.accel, kernel.diag)]
-        gc.disable()
-        try:
-            del spec, kernel
-            assert [ref() for ref in refs] == [None] * len(refs)
-        finally:
-            gc.enable()
-
-    def test_source_memo_keeps_parameter_variants_apart(self):
-        q, v = (0.1, 0.2, 0.3), (1.0, 0.5, 0.2)
-        accels = {}
-        for k in (10.0, 20.0, 10.0, 20.0):
-            spec = build_sleigh_spec("friction", SleighParams(k=k))
-            accels.setdefault(k, []).append(spec.kernel.accel(q, v, 0.0))
-            assert accels[k][-1] == engine.acceleration_raw(spec, q, v, 0.0)
-        assert accels[10.0][0] == accels[10.0][1] != accels[20.0][0] == accels[20.0][1]
-
-    def test_source_memo_tells_signed_zero_literals_apart(self):
-        # Const(-0.0) == Const(0.0) as trees, but q1 * -0.0 is -0.0 where q1 * 0.0 is 0.0
-        forces = [(Expr(Binary("*", Var("q", 1), Const(zero)), 1),) for zero in (0.0, -0.0)]
-        for force in (*forces, *forces):
-            spec = SystemSpec(1, (1.0,), forces=force)
-            (f,) = spec.kernel.accel((1.0,), (0.0,), 0.0)
-            assert _bits(f) == _bits(engine.acceleration_raw(spec, (1.0,), (0.0,), 0.0)[0])
-            assert math.copysign(1.0, f) == math.copysign(1.0, force[0].root.rhs.value)
 
     def test_kernel_does_not_outlive_its_spec(self):
         # no cycle: reference counting alone frees the spec and its generated code
